@@ -30,9 +30,11 @@
 //! The `streaming_multi{64,256,1024}/…/shards{1,4}` rows time the sharded
 //! multi-threaded serving layer and carry `shards` plus feed-to-vote
 //! `p50_ns`/`p99_ns` latency quantiles. With `THNT_BENCH_ASSERT_SCALING=1`
-//! the run fails unless 4 shards serve at least 2x the 1-shard windows/sec
-//! at 256 sessions on the packed engine — only meaningful on a host with
-//! >= 4 hardware threads, so CI arms it conditionally.
+//! the run fails unless 4 shards reach a parallel efficiency of 0.7 at 256
+//! sessions on the packed engine: at least `0.7 · min(4, nproc)` times the
+//! 1-shard windows/sec. The threshold has been measured only on a 2-vCPU
+//! host (2.00x and 2.29x against 1.4x); with 4 or more threads it asks for
+//! 2.8x, which no recorded run has checked yet.
 //!
 //! The `artifact_load/{owned,borrowed,owned_rle}` rows time a cold model
 //! load from a `.thnt2` blob and carry `model_bytes` (in-memory size) and
@@ -196,7 +198,7 @@ fn time_kernel<T>(base: &str, d: &KernelDispatch, iters: usize, f: impl FnMut() 
 /// prefills the detector's one-second ring, then feeds hop-sized chunks so
 /// every push triggers exactly one inference. The row also carries
 /// `mfcc_ns`/`infer_ns` — the two stages of the same window timed in
-/// isolation (planned parallel extraction of a one-second window, and one
+/// isolation (planned serial extraction of a one-second window, and one
 /// single-clip backend call), so regressions attribute to a stage instead
 /// of hiding in the end-to-end number.
 fn time_streaming(backend: &dyn InferenceBackend, iters: usize) -> BenchRow {
@@ -213,7 +215,7 @@ fn time_streaming(backend: &dyn InferenceBackend, iters: usize) -> BenchRow {
     let mut scratch = mfcc.plan().scratch();
     let mut feats = vec![0.0f32; 49 * 10];
     let (_, mfcc_ns) =
-        measure(iters, || mfcc.plan().compute_into_par(&mut scratch, prefill.data(), &mut feats));
+        measure(iters, || mfcc.plan().compute_into(&mut scratch, prefill.data(), &mut feats));
     let clip = gaussian(&[1, 1, 49, 10], 0.0, 1.0, &mut rng);
     let (_, infer_ns) = measure(iters, || backend.infer(&clip));
     row.mfcc_ns = Some(mfcc_ns);
@@ -566,10 +568,10 @@ fn main() {
     }
 
     // The MFCC front-end itself, one one-second window per iteration:
-    // the retired straight-line pipeline vs the planned pipeline (serial
-    // per-window driver as used by the batched server, and the parallel
-    // single-stream driver the detector uses). All planned rows execute on
-    // the process-wide DSP dispatch.
+    // the retired straight-line pipeline vs the planned pipeline (the
+    // serial `compute_into` every serving path uses, and the parallel
+    // `compute_into_par` offline callers may use). All planned rows execute
+    // on the process-wide DSP dispatch.
     let dsp_kernel = DspDispatch::get().kernel().name();
     {
         let mut rng = SmallRng::seed_from_u64(44);
@@ -744,20 +746,22 @@ fn main() {
 
     // CI gate: sharding must actually buy parallel throughput. Compared on
     // the packed engine at 256 sessions — enough concurrent streams that
-    // per-round fixed costs are amortised and the shards stay busy. Only
-    // asserted where CI has verified >= 4 hardware threads; a single-core
-    // host serialises the shards and the ratio is meaningless there.
+    // per-round fixed costs are amortised and the shards stay busy. Shards
+    // are the only serving threads, so 4 shards can use min(4, nproc)
+    // cores; the gate asks for 70% of that ideal.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+    let want = 0.7 * cores as f64;
     let shard1_wps = windows_per_sec(&rows, "streaming_multi256/packed_backend/shards1");
     let shard4_wps = windows_per_sec(&rows, "streaming_multi256/packed_backend/shards4");
     let scaling = shard4_wps / shard1_wps;
-    println!("\nstreaming_multi256: 4 shards are {scaling:.2}x 1 shard");
+    println!("\nstreaming_multi256: 4 shards are {scaling:.2}x 1 shard ({cores} usable cores)");
     if std::env::var("THNT_BENCH_ASSERT_SCALING").as_deref() == Ok("1") {
         assert!(
-            scaling >= 2.0,
-            "4-shard serving ({shard4_wps:.1} w/s) must be >= 2x 1-shard \
-             ({shard1_wps:.1} w/s) at 256 sessions, measured {scaling:.2}x"
+            scaling >= want,
+            "4-shard serving ({shard4_wps:.1} w/s) must be >= 0.7 x {cores} cores x 1-shard \
+             ({shard1_wps:.1} w/s) = {want:.1}x at 256 sessions, measured {scaling:.2}x"
         );
-        println!("scaling assertion: 4 shards >= 2x 1 shard ✓");
+        println!("scaling assertion: 4 shards >= {want:.1}x 1 shard ✓");
     }
 
     let json = serde_json::to_string_pretty(&rows).expect("serialize bench rows");

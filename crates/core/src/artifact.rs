@@ -59,8 +59,9 @@
 //! (`kh kw stride_h stride_w pad_top pad_bottom pad_left pad_right`).
 //!
 //! Loading validates every structural invariant — word counts, padding
-//! bits, plane overlap, cross-field dimension consistency, finiteness,
-//! topology counts — and fails with `InvalidData` on the first violation.
+//! bits, plane overlap, cross-field dimension consistency, layer-to-layer
+//! widths, finiteness, topology counts — and fails with `InvalidData` on
+//! the first violation.
 //! Matching the checkpoint contract in `thnt_nn::io`: the failure mode is
 //! an error, never silent corruption. Unknown sections are skipped so later
 //! versions can add data without breaking this loader.
@@ -542,10 +543,15 @@ fn rle_decode(
     cols: usize,
     what: &str,
 ) -> io::Result<(Vec<u64>, Vec<u64>)> {
+    let total_bits = blob.len() * 8;
+    // Every entry costs at least one bit: refuse a shape the stream cannot
+    // hold before allocating planes for it.
+    if rows.saturating_mul(cols) > total_bits {
+        return Err(invalid_data(format!("{what}: RLE stream truncated")));
+    }
     let wpr = cols.div_ceil(64);
     let mut plus = vec![0u64; rows * wpr];
     let mut minus = vec![0u64; rows * wpr];
-    let total_bits = blob.len() * 8;
     let mut bit = 0usize;
     let next = |bit: &mut usize| -> io::Result<bool> {
         if *bit >= total_bits {
@@ -798,10 +804,9 @@ impl<'a> Cursor<'a> {
         } else {
             (self.u64_words(words, false, what)?, self.u64_words(words, false, what)?)
         };
-        // Borrowing loads skip the O(words) plane-content scans (padding
-        // bits, dual-claimed entries) under the same trust model as
-        // `f32_cow`: structural invariants are always enforced, content
-        // invariants only when copying anyway.
+        // Borrowing loads skip the O(words) dual-claimed-entry scan under
+        // the same trust model as `f32_cow`; the O(rows) padding-bit check
+        // runs on both paths, since a padding bit indexes past `cols`.
         let parts = if ctx.borrow {
             PackedTernary::from_cow_parts_trusted(rows, cols, plus, minus)
         } else {
@@ -818,6 +823,15 @@ impl<'a> Cursor<'a> {
         if d[0] == 0 || d[1] == 0 || d[2] == 0 || d[3] == 0 {
             return Err(invalid_data(format!(
                 "{}: {what}: kernel and stride must be positive",
+                self.section
+            )));
+        }
+        // Compiled specs pad `same` or `valid`: less than one kernel per
+        // axis. More only adds outputs that see no input, and would let a
+        // corrupt spec size an output arbitrarily large.
+        if d[4].saturating_add(d[5]) >= d[0] || d[6].saturating_add(d[7]) >= d[1] {
+            return Err(invalid_data(format!(
+                "{}: {what}: padding of a whole kernel or more",
                 self.section
             )));
         }
@@ -1052,6 +1066,45 @@ fn decode_meta(buf: &[u8]) -> io::Result<InferenceMeta> {
     Ok(InferenceMeta { mfcc, norm_mean, norm_std })
 }
 
+/// Checks that the decoded layers chain: each takes the channel width and
+/// the rank its predecessor gives, from the one-channel MFCC image through
+/// the pool to the tree's projection. Each layer's own geometry is checked
+/// while decoding; a broken chain would load and then panic on the first
+/// inference.
+fn check_chain(front: &PackedStStack<'_>, tree: &PackedBonsai<'_>) -> io::Result<()> {
+    // `[n, width, h, w]` until the pool, `[n, width]` after it.
+    let (mut width, mut pooled) = (1usize, false);
+    for (i, layer) in front.layers.iter().enumerate() {
+        // (width taken, pooled input required / forbidden / either, given)
+        let (takes, wants_pooled, gives) = match layer {
+            PackedLayer::Conv(c) => {
+                (c.wb.cols() / (c.spec.kh * c.spec.kw), Some(false), c.bias.len())
+            }
+            PackedLayer::Depthwise(d) => (d.channels, Some(false), d.channels),
+            PackedLayer::Dense(d) => (d.wb.cols(), Some(true), d.bias.len()),
+            PackedLayer::Affine(a) => (a.scale.len(), None, a.scale.len()),
+            PackedLayer::Relu => (width, None, width),
+            PackedLayer::GlobalAvgPool => (width, Some(false), width),
+        };
+        if takes != width || wants_pooled.is_some_and(|p| p != pooled) {
+            return Err(invalid_data(format!(
+                "FRNT: layer {i} cannot take the width-{width} {} the layers before it give",
+                if pooled { "features" } else { "image" }
+            )));
+        }
+        width = gives;
+        pooled |= matches!(layer, PackedLayer::GlobalAvgPool);
+    }
+    if !pooled || tree.z.wb.cols() != width {
+        return Err(invalid_data(format!(
+            "TREE: projection takes {} pooled features, the front-end gives {width}{}",
+            tree.z.wb.cols(),
+            if pooled { "" } else { " unpooled" }
+        )));
+    }
+    Ok(())
+}
+
 /// Decodes a whole artifact from a byte slice. `allow_borrow` selects the
 /// zero-copy path ([`load_thnt2_ref`]) vs. forced copies ([`load_thnt2`]).
 fn decode_artifact(
@@ -1077,6 +1130,7 @@ fn decode_artifact(
     };
     let front = decode_front(front.bytes, &mut ctx)?;
     let tree = decode_tree(tree.bytes, &mut ctx)?;
+    check_chain(&front, &tree)?;
     if let Some(stream) = ctx.rle {
         stream.finish()?;
     }
@@ -1113,15 +1167,17 @@ pub fn load_thnt2<R: Read>(
 ///
 /// # Trust model
 ///
-/// Structural invariants (section table, lengths, geometry, alignment
-/// padding) are always enforced — truncated or misframed artifacts fail
-/// exactly as they do in [`load_thnt2`]. The O(model) *content* scans
-/// (f32 finiteness, ternary sign range, bitplane padding/overlap bits)
-/// run only on the owning path: a mapped artifact is treated as trusted,
-/// the same way an mmap'd executable's text is. Corrupt content in a
-/// trusted artifact produces wrong logits, never memory unsafety. Load
-/// through [`load_thnt2`] when the artifact comes from an untrusted
-/// source.
+/// Structural invariants (section table, lengths, geometry, layer-to-layer
+/// widths, alignment padding) are always enforced — truncated or misframed
+/// artifacts fail exactly as they do in [`load_thnt2`] — and so is the
+/// O(rows) check that bitplane padding bits are clear, because a set
+/// padding bit would name a column past the end of the activations. The
+/// O(model) *content* scans (f32 finiteness, ternary sign range, bitplane
+/// overlap) run only on the owning path: a mapped artifact is treated as
+/// trusted, the same way an mmap'd executable's text is. Content those
+/// scans would reject only skews logits: every index it can produce stays
+/// in bounds. Load through [`load_thnt2`] when the artifact comes from an
+/// untrusted source.
 ///
 /// Use [`PackedStHybrid::bitplanes_borrowed`] to check which path was
 /// taken, and [`PackedStHybrid::into_owned`] to detach the result from the
@@ -1344,6 +1400,28 @@ mod tests {
         bad.save(None, &mut blob).unwrap();
         let err = PackedStHybrid::load(blob.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Layers that are each well formed but do not fit together, or a conv
+    /// padded by a whole kernel, would load and then panic (or size a huge
+    /// output) on the first inference: both loaders refuse them.
+    #[test]
+    fn layers_that_do_not_chain_are_rejected() {
+        let (_, engine) = tiny_engine(6);
+        let mut unpooled = engine.clone();
+        unpooled.front.layers.retain(|l| !matches!(l, PackedLayer::GlobalAvgPool));
+        let mut headless = engine.clone();
+        headless.front.layers.drain(..3); // the first conv, its affine and relu
+        let mut padded = engine.clone();
+        let PackedLayer::Conv(conv) = &mut padded.front.layers[0] else { panic!("conv first") };
+        conv.spec.pad_left = conv.spec.kw;
+        for (what, bad) in [("unpooled", unpooled), ("headless", headless), ("padded", padded)] {
+            let mut blob = Vec::new();
+            save_thnt2_with(&bad, None, SaveOptions::v3(), &mut blob).unwrap();
+            let aligned = AlignedBytes::from_slice(&blob);
+            assert!(load_thnt2_ref(&aligned).is_err(), "{what}: borrowed load");
+            assert!(load_thnt2(blob.as_slice()).is_err(), "{what}: owning load");
+        }
     }
 
     #[test]
@@ -1609,6 +1687,27 @@ mod tests {
             assert!(!reloaded.bitplanes_borrowed(), "{opts:?} cannot borrow");
             assert_eq!(reloaded, engine, "{opts:?}");
         }
+    }
+
+    /// The borrowed load skips the O(words) plane scans, but a set padding
+    /// bit names an activation column past `cols` — a read out of bounds
+    /// in the SIMD `matmul_rhs` stripes — so it must still be refused.
+    #[test]
+    fn zero_copy_load_rejects_a_set_padding_bit() {
+        let (_, engine) = tiny_engine(24);
+        let mut blob = Vec::new();
+        save_thnt2_with(&engine, None, SaveOptions::v3(), &mut blob).unwrap();
+        let PackedLayer::Conv(conv) = &engine.front.layers[0] else {
+            panic!("front starts with a conv")
+        };
+        assert_eq!(conv.wb.cols(), 40, "each row is one word with 24 padding bits");
+        let plane: Vec<u8> = conv.wb.plus_words().iter().flat_map(|w| w.to_le_bytes()).collect();
+        let at = blob.windows(plane.len()).position(|w| w == plane).unwrap();
+        assert!(load_thnt2_ref(&AlignedBytes::from_slice(&blob)).is_ok());
+        blob[at + 7] |= 0x80; // bit 63 of row 0's word
+        let err = load_thnt2_ref(&AlignedBytes::from_slice(&blob)).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("row 0 has set bits in the padding region"), "{err}");
+        assert!(load_thnt2(blob.as_slice()).is_err());
     }
 
     /// The acceptance criterion for RLE: on a standard ternary net (about a

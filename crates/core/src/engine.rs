@@ -33,7 +33,7 @@ use thnt_strassen::{
     KernelDispatch, PackedTernary, QuantMode, StLayer, StStack, StrassenConv2d, StrassenDense,
     StrassenDepthwise2d, Strassenified,
 };
-use thnt_tensor::{global_avg_pool, im2col, parallel_zip_chunks, Conv2dSpec, Tensor};
+use thnt_tensor::{global_avg_pool, im2col, Conv2dSpec, Tensor};
 
 use crate::st_hybrid::StHybridNet;
 
@@ -150,73 +150,31 @@ impl<'a> PackedConv2d<'a> {
     /// Forward: `[n, ic, h, w] → [n, oc, oh, ow]` via packed
     /// `W_b · im2col(x)`, the `â` channel scale, and packed `W_c`.
     ///
-    /// A single sample parallelises inside the word-level kernels; a batch
-    /// parallelises across samples instead (each worker runs the serial
-    /// kernels into its disjoint slice of `y`), which is how the serving
-    /// layer's cross-session batches scale. Both paths produce bitwise
-    /// identical outputs.
+    /// Samples run one after another on the calling thread, reusing one
+    /// hidden buffer and writing each output straight into its slice of
+    /// `y`, so a sample's result does not depend on the batch it arrives in.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (n, _, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.out_dims(h, w);
         let spatial = oh * ow;
-        let r = self.a_hat.len();
         let oc = self.bias.len();
         let mut y = Tensor::zeros(&[n, oc, oh, ow]);
-        if n == 0 || oc * spatial == 0 {
+        if oc * spatial == 0 {
             return y;
         }
-        if n == 1 {
-            let mut hidden = Tensor::zeros(&[r, spatial]);
-            self.forward_sample(x, 0, spatial, &mut hidden, y.data_mut(), false);
-        } else {
-            parallel_zip_chunks(y.data_mut(), oc * spatial, |s0, chunk| {
-                // The hidden buffer is reused across this worker's samples;
-                // each sample's output is written directly into its slice.
-                let mut hidden = Tensor::zeros(&[r, spatial]);
-                for (ds, dst) in chunk.chunks_mut(oc * spatial).enumerate() {
-                    self.forward_sample(x, s0 + ds, spatial, &mut hidden, dst, true);
-                }
-            });
+        let mut hidden = Tensor::zeros(&[self.a_hat.len(), spatial]);
+        for (s, dst) in y.data_mut().chunks_mut(oc * spatial).enumerate() {
+            let cols = im2col(&x.slice_batch(s), &self.spec);
+            self.wb.matmul_rhs_into(&cols, hidden.data_mut());
+            for (row, &a) in hidden.data_mut().chunks_mut(spatial).zip(self.a_hat.iter()) {
+                row.iter_mut().for_each(|v| *v *= a);
+            }
+            self.wc.matmul_rhs_into(&hidden, dst);
+            for (row, &b) in dst.chunks_mut(spatial).zip(self.bias.iter()) {
+                row.iter_mut().for_each(|v| *v += b);
+            }
         }
         y
-    }
-
-    /// One sample of [`Self::forward`] into `dst` (`oc × spatial` floats).
-    /// `serial` selects the non-parallel kernels for use inside a
-    /// batch-parallel worker.
-    fn forward_sample(
-        &self,
-        x: &Tensor,
-        s: usize,
-        spatial: usize,
-        hidden: &mut Tensor,
-        dst: &mut [f32],
-        serial: bool,
-    ) {
-        let cols = im2col(&x.slice_batch(s), &self.spec);
-        if serial {
-            self.wb.matmul_rhs_into_serial(&cols, hidden.data_mut());
-        } else {
-            self.wb.matmul_rhs_into(&cols, hidden.data_mut());
-        }
-        {
-            let hd = hidden.data_mut();
-            for (kk, &a) in self.a_hat.iter().enumerate() {
-                for v in &mut hd[kk * spatial..(kk + 1) * spatial] {
-                    *v *= a;
-                }
-            }
-        }
-        if serial {
-            self.wc.matmul_rhs_into_serial(hidden, dst);
-        } else {
-            self.wc.matmul_rhs_into(hidden, dst);
-        }
-        for (ch, &b) in self.bias.iter().enumerate() {
-            for v in &mut dst[ch * spatial..(ch + 1) * spatial] {
-                *v += b;
-            }
-        }
     }
 
     /// Additions/subtractions per input sample for an `h × w` input.
@@ -306,32 +264,23 @@ impl<'a> PackedDepthwise2d<'a> {
     }
 
     /// Forward: `[n, c, h, w] → [n, c, oh, ow]`, additions only plus the
-    /// `c·m` true multiplications by `â` per output position. Batches
-    /// parallelise across samples (each worker writes its disjoint slice of
-    /// the output); the per-sample arithmetic is identical either way.
+    /// `c·m` true multiplications by `â` per output position. Samples run
+    /// one after another on the calling thread with one reused hidden
+    /// buffer, each writing its own slice of the output.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let (c, m) = (self.channels, self.multiplier);
         assert_eq!(x.dims()[1], c, "PackedDepthwise channel mismatch");
         let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.out_dims(h, w);
         let spatial = oh * ow;
-        let xd = x.data();
         let mut y = Tensor::zeros(&[n, c, oh, ow]);
-        if n == 0 || c * spatial == 0 {
+        if c * spatial == 0 {
             return y;
         }
-        if n == 1 {
-            let mut hidden = vec![0.0f32; spatial];
-            self.forward_sample(xd, (h, w), m, &mut hidden, y.data_mut());
-        } else {
-            parallel_zip_chunks(y.data_mut(), c * spatial, |s0, chunk| {
-                let mut hidden = vec![0.0f32; spatial];
-                for (ds, dst) in chunk.chunks_mut(c * spatial).enumerate() {
-                    let s = s0 + ds;
-                    let img = &xd[s * c * h * w..(s + 1) * c * h * w];
-                    self.forward_sample(img, (h, w), m, &mut hidden, dst);
-                }
-            });
+        let mut hidden = vec![0.0f32; spatial];
+        for (s, dst) in y.data_mut().chunks_mut(c * spatial).enumerate() {
+            let img = &x.data()[s * c * h * w..(s + 1) * c * h * w];
+            self.forward_sample(img, (h, w), m, &mut hidden, dst);
         }
         y
     }
@@ -1236,23 +1185,36 @@ mod tests {
         assert!(packed_kb < 25.0, "packed model {packed_kb:.2} KB");
     }
 
+    /// Row independence, bit for bit: every sample's logits are the same
+    /// whether it is served alone or in a batch of any size, on both
+    /// engines. Every serve-equivalence proof rests on this.
     #[test]
     fn batch_inference_is_consistent_with_single_sample() {
-        let net = frozen_net(9);
-        let engine = PackedStHybrid::compile(&net);
-        let mut rng = SmallRng::seed_from_u64(10);
-        let batch = thnt_tensor::gaussian(&[4, 1, 49, 10], 0.0, 1.0, &mut rng);
-        let all = engine.forward(&batch);
-        for s in 0..4 {
-            let one = batch.slice_batch(s);
-            let single =
-                engine.forward(&one.reshape(&[1, one.dims()[0], one.dims()[1], one.dims()[2]]));
-            thnt_tensor::assert_close(
-                single.data(),
-                &all.data()[s * all.dims()[1]..(s + 1) * all.dims()[1]],
-                1e-5,
-                1e-5,
-            );
+        use crate::quantized::QuantizedStHybrid;
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut net = StHybridNet::new(HybridConfig::paper(), &mut rng);
+        net.activate_quantization();
+        net.freeze_ternary();
+        let packed = PackedStHybrid::compile(&net);
+        let calib = thnt_tensor::gaussian(&[4, 1, 49, 10], 0.0, 1.0, &mut rng);
+        let quantized =
+            QuantizedStHybrid::calibrate_and_compile(&packed, &calib, Default::default()).unwrap();
+        let x = thnt_tensor::gaussian(&[64, 1, 49, 10], 0.0, 1.0, &mut rng);
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let engines: [&dyn thnt_nn::InferenceBackend; 2] = [&packed, &quantized];
+        for engine in engines {
+            let name = engine.backend_name();
+            let singles: Vec<Vec<u32>> = (0..64)
+                .map(|s| bits(engine.infer(&x.slice_batch(s).reshape(&[1, 1, 49, 10]))))
+                .collect();
+            for n in [2, 6, 64] {
+                let batch = Tensor::from_vec(x.data()[..n * 490].to_vec(), &[n, 1, 49, 10]);
+                let rows = bits(engine.infer(&batch));
+                for (s, single) in singles.iter().take(n).enumerate() {
+                    let row = &rows[s * single.len()..(s + 1) * single.len()];
+                    assert_eq!(row, &single[..], "{name}: sample {s} of a batch of {n}");
+                }
+            }
         }
     }
 }

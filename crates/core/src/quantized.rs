@@ -426,7 +426,7 @@ impl QuantizedStHybrid {
                     let mut hidden = Tensor::zeros(&[r, oh * ow]);
                     for s in 0..n {
                         let cols = im2col(&cur.slice_batch(s), &c.spec);
-                        c.wb.matmul_rhs_into_serial(&cols, hidden.data_mut());
+                        c.wb.matmul_rhs_into(&cols, hidden.data_mut());
                         let hd = hidden.data_mut();
                         for (k, &a) in c.a_hat.iter().enumerate() {
                             for v in &mut hd[k * oh * ow..(k + 1) * oh * ow] {

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use thnt_dsp::{Mfcc, MfccConfig};
 use thnt_nn::{softmax, InferenceBackend};
-use thnt_tensor::{parallel_zip_chunks, Tensor};
+use thnt_tensor::Tensor;
 
 use crate::artifact::InferenceMeta;
 use crate::serve::error::{ModelId, ServeError, SessionId};
@@ -169,10 +169,6 @@ pub struct StreamServer<'m, B: InferenceBackend + ?Sized> {
     tick_budget: usize,
     /// Max concurrent sessions; `0` = unbounded.
     max_sessions: usize,
-    /// Extract MFCC features across worker threads at tick time. On by
-    /// default; a sharded worker turns it off so shards scale across cores
-    /// instead of contending for one inner pool.
-    parallel_extraction: bool,
     next_id: u64,
     sessions: HashMap<u64, Session>,
     /// Due windows in arrival order, raw audio; features are extracted at
@@ -225,7 +221,6 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
             overflow: OverflowPolicy::default(),
             tick_budget: 0,
             max_sessions: 0,
-            parallel_extraction: true,
             next_id: 0,
             sessions: HashMap::new(),
             pending: Vec::new(),
@@ -325,19 +320,6 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
     /// [`ServeError::SessionLimit`]. `0` means unbounded (default).
     pub fn max_sessions(mut self, limit: usize) -> Self {
         self.max_sessions = limit;
-        self
-    }
-
-    /// Whether [`Self::tick`] extracts MFCC features across the inner
-    /// worker-thread pool (the default) or serially on the calling thread.
-    /// Results are bitwise identical either way — each window is extracted
-    /// independently — so this is purely a scheduling choice: a
-    /// [`ShardedStreamServer`](crate::serve::ShardedStreamServer) worker
-    /// runs serial extraction, because its parallelism axis is shards, not
-    /// windows, and N shards each spawning an inner pool would oversubscribe
-    /// the cores they are meant to share.
-    pub fn parallel_extraction(mut self, on: bool) -> Self {
-        self.parallel_extraction = on;
         self
     }
 
@@ -590,8 +572,7 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
 
     /// Serves the pending windows: sheds down to the [`Self::tick_budget`]
     /// (oldest first, before any feature extraction), extracts MFCC features
-    /// (in parallel across windows unless [`Self::parallel_extraction`] is
-    /// off), runs batched inference through
+    /// window by window on the calling thread, runs batched inference through
     /// [`InferenceBackend::infer_isolated`] (respecting [`Self::max_batch`]),
     /// quarantines windows whose logits are unusable, applies each surviving
     /// session's smoothing vote in arrival order, and returns the detections
@@ -664,28 +645,14 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
                 let model = &self.models[m];
                 let per = model.frames * model.coeffs;
                 let mut batch = Tensor::zeros(&[idxs.len(), 1, model.frames, model.coeffs]);
-                // One shared plan, one scratch per worker: each window is
-                // extracted serially (the parallelism, when on, is across
-                // windows) with features written straight into the batch
-                // tensor. Serial and parallel extraction are bitwise
-                // identical by construction — same plan, same per-window
-                // arithmetic — so a sharded worker may run serial without
-                // perturbing equivalence.
-                let (plan, mean, std) = (model.mfcc.plan(), &model.norm_mean, &model.norm_std);
-                if self.parallel_extraction {
-                    parallel_zip_chunks(batch.data_mut(), per, |w0, chunk| {
-                        let mut scratch = plan.scratch();
-                        for (dw, row) in chunk.chunks_mut(per).enumerate() {
-                            plan.compute_into(&mut scratch, &pending[idxs[w0 + dw]].audio, row);
-                            normalize_in_place(row, mean, std);
-                        }
-                    });
-                } else {
-                    let mut scratch = plan.scratch();
-                    for (dw, row) in batch.data_mut().chunks_mut(per).enumerate() {
-                        plan.compute_into(&mut scratch, &pending[idxs[dw]].audio, row);
-                        normalize_in_place(row, mean, std);
-                    }
+                // One plan and one scratch: each window's features are
+                // written straight into its row of the batch tensor. The
+                // parallelism axis is shards, so extraction stays serial.
+                let plan = model.mfcc.plan();
+                let mut scratch = plan.scratch();
+                for (&w, row) in idxs.iter().zip(batch.data_mut().chunks_mut(per)) {
+                    plan.compute_into(&mut scratch, &pending[w].audio, row);
+                    normalize_in_place(row, &model.norm_mean, &model.norm_std);
                 }
                 // Fault-isolated inference: a panicking / wrong-arity /
                 // NaN-emitting backend call quarantines only its own rows.
@@ -917,20 +884,6 @@ mod tests {
         let unbounded = run(0);
         assert_eq!(run(2), unbounded);
         assert_eq!(run(1), unbounded);
-    }
-
-    #[test]
-    fn serial_extraction_matches_parallel_exactly() {
-        let backend = Probe { classes: 6 };
-        let run = |parallel: bool| {
-            let mut server = small_server(&backend).parallel_extraction(parallel);
-            let ids: Vec<SessionId> = (0..3).map(|_| server.try_open().unwrap()).collect();
-            for (k, &id) in ids.iter().enumerate() {
-                server.try_feed(id, &tone(120.0 + 90.0 * k as f32, 4_000)).unwrap();
-            }
-            server.tick()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -629,8 +629,8 @@ fn worker<B: InferenceBackend + Sync + ?Sized>(
     config: StreamingConfig,
     serve: ServeConfig,
 ) {
-    // Shard-local server: serial extraction (the parallelism axis is
-    // shards), unlimited sessions (the front-end enforces the global cap).
+    // Shard-local server with unlimited sessions (the front-end enforces
+    // the global cap).
     let mut specs = models.iter();
     let Some(first) = specs.next() else { return };
     let mut server = StreamServer::with_mfcc(
@@ -643,8 +643,7 @@ fn worker<B: InferenceBackend + Sync + ?Sized>(
     .max_batch(serve.max_batch)
     .queue_bound(serve.queue_bound)
     .overflow_policy(serve.overflow)
-    .tick_budget(serve.tick_budget)
-    .parallel_extraction(false);
+    .tick_budget(serve.tick_budget);
     for spec in specs {
         server.register(spec.backend, spec.mfcc, spec.norm_mean.clone(), spec.norm_std.clone());
     }

@@ -333,9 +333,8 @@ impl<'m, B: InferenceBackend + ?Sized> StreamingDetector<'m, B> {
             input,
         } = self;
         state.feed(samples, config.hop, |window, at_sample| {
-            // Frames of this single stream's window fan out across workers;
-            // features land directly in the reused input tensor.
-            mfcc.plan().compute_into_par(scratch, window, input.data_mut());
+            // Features land directly in the reused input tensor.
+            mfcc.plan().compute_into(scratch, window, input.data_mut());
             normalize_in_place(input.data_mut(), norm_mean, norm_std);
             let logits = backend.infer(input);
             let classes = logits.dims()[1];

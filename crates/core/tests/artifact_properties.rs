@@ -368,7 +368,10 @@ proptest! {
     /// Byte-flip fuzzing across all three write formats and both loaders:
     /// corruption anywhere (section table padding, RLE streams, mode
     /// bytes…) must never panic — including the `unsafe` aligned-borrow
-    /// path in the zero-copy loader.
+    /// path in the zero-copy loader. Whatever the trusted borrowed load
+    /// accepts must also serve one forward pass without panicking, under
+    /// whichever kernel `THNT_KERNEL` selects: its content is unchecked, so
+    /// this is where a kernel indexing past the activations would show.
     #[test]
     fn byte_flips_never_panic_any_format_or_loader(
         seed in 0u64..100_000,
@@ -382,10 +385,13 @@ proptest! {
             let bit = rand::Rng::gen_range(&mut rng, 0..8u32);
             blob[byte] ^= 1 << bit;
         }
+        let x = thnt_tensor::gaussian(&[1, 1, 49, 10], 0.0, 1.0, &mut rng);
         let aligned = AlignedBytes::from_slice(&blob);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = PackedStHybrid::load(blob.as_slice());
-            let _ = PackedStHybrid::load_ref(&aligned);
+            if let Ok((engine, _)) = PackedStHybrid::load_ref(&aligned) {
+                engine.forward(&x);
+            }
         }));
         prop_assert!(outcome.is_ok(), "byte flips panicked a loader ({:?}, seed {})", opts, seed);
     }

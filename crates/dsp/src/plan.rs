@@ -27,11 +27,10 @@
 //! through the [`crate::simd`] dispatch (AVX2/NEON with scalar fallback,
 //! honouring `THNT_KERNEL` exactly like the packed inference kernels).
 //!
-//! Two extraction drivers cover the serving topologies:
-//! [`MfccPlan::compute_into`] is serial (what a batched server calls per
-//! window while parallelising *across* windows), and
-//! [`MfccPlan::compute_into_par`] fans the frames of one signal out across
-//! `tensor::par` workers (what a single-stream detector calls per window).
+//! Two entry points share the frame arithmetic: [`MfccPlan::compute_into`] is
+//! serial, what the detector and every serving shard (serving's only
+//! parallelism) call per window; [`MfccPlan::compute_into_par`] fans the
+//! frames out over `tensor::par` workers for offline callers.
 
 use thnt_tensor::{parallel_zip_chunks, Tensor};
 
@@ -238,9 +237,10 @@ impl MfccPlan {
     /// values into `out` and returns the frame count. Zero allocation in
     /// steady state (the scratch is reused).
     ///
-    /// This is the per-window driver for batched servers that already
-    /// parallelise across windows; single-stream callers usually want
-    /// [`Self::compute_into_par`].
+    /// This is what the whole serving path calls per window: the
+    /// streaming detector and the shard workers call it, and parallelism
+    /// comes from the shards. [`Self::compute_into_par`] is the offline
+    /// alternative.
     ///
     /// # Panics
     ///

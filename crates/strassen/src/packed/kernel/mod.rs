@@ -277,8 +277,7 @@ impl KernelDispatch {
 
     /// Batched activations: computes `out[s·rows + r] = Wᵣ · xₛ` for the
     /// `ns = out.len() / v.rows` samples stored contiguously in `x`
-    /// (`ns × cols`, row-major). Serial — callers parallelise across sample
-    /// chunks at a coarser grain.
+    /// (`ns × cols`, row-major), serially on the calling thread.
     ///
     /// Caller guarantees `x.len() == ns · v.cols` and
     /// `out.len() == ns · v.rows`.

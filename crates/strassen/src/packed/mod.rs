@@ -33,7 +33,7 @@
 
 use std::borrow::Cow;
 
-use thnt_tensor::{parallel_zip_chunks, Tensor};
+use thnt_tensor::Tensor;
 
 pub mod bitslice;
 pub mod kernel;
@@ -160,17 +160,6 @@ impl<'a> PackedTernary<'a> {
         minus: Cow<'a, [u64]>,
     ) -> Result<PackedTernary<'a>, String> {
         let m = Self::from_cow_parts_trusted(rows, cols, plus, minus)?;
-        // Padding bits beyond `cols` in each row's last word must be clear.
-        let tail_bits = cols % WORD_BITS;
-        if tail_bits != 0 {
-            let pad_mask = !0u64 << tail_bits;
-            for r in 0..rows {
-                let last = r * m.words_per_row + m.words_per_row - 1;
-                if (m.plus[last] | m.minus[last]) & pad_mask != 0 {
-                    return Err(format!("row {r} has set bits in the padding region"));
-                }
-            }
-        }
         for (i, (&p, &mi)) in m.plus.iter().zip(m.minus.iter()).enumerate() {
             if p & mi != 0 {
                 return Err(format!("word {i} claims entries as both +1 and -1"));
@@ -179,20 +168,24 @@ impl<'a> PackedTernary<'a> {
         Ok(m)
     }
 
-    /// [`Self::from_cow_parts`] minus the O(words) content scans: only the
-    /// shape/word-count invariant is checked. This is the fast path for
-    /// loaders that treat their input as trusted (e.g. a memory-mapped
-    /// artifact produced by this crate's own serializer), where re-scanning
-    /// every plane on every process start would defeat the point of a
-    /// zero-copy load. Dirty padding bits or entries claimed by both planes
-    /// are **not** rejected here; they produce wrong arithmetic results but
-    /// never memory unsafety, because every kernel indexes planes only
-    /// through the validated shape.
+    /// [`Self::from_cow_parts`] minus the O(words) plane-overlap scan. This
+    /// is the fast path for loaders that treat their input as trusted (e.g.
+    /// a memory-mapped artifact produced by this crate's own serializer),
+    /// where re-scanning every plane on every process start would defeat
+    /// the point of a zero-copy load.
+    ///
+    /// The shape/word-count invariant and the O(rows) padding check still
+    /// run: a set bit beyond `cols` in a row's last word would name a column
+    /// past the end of the activations, which the scalar kernels turn into
+    /// an index panic and the SIMD `matmul_rhs` stripes into an
+    /// out-of-bounds read. Entries claimed by both planes are **not**
+    /// rejected here; they only produce wrong sums, because every bit they
+    /// set names an in-range column.
     ///
     /// # Errors
     ///
     /// Returns a description of a plane whose word count does not match the
-    /// shape.
+    /// shape, or of a row with set bits in its padding region.
     pub fn from_cow_parts_trusted(
         rows: usize,
         cols: usize,
@@ -208,6 +201,16 @@ impl<'a> PackedTernary<'a> {
                 plus.len(),
                 minus.len()
             ));
+        }
+        let tail_bits = cols % WORD_BITS;
+        if tail_bits != 0 {
+            let pad_mask = !0u64 << tail_bits;
+            for r in 0..rows {
+                let last = (r + 1) * words_per_row - 1;
+                if (plus[last] | minus[last]) & pad_mask != 0 {
+                    return Err(format!("row {r} has set bits in the padding region"));
+                }
+            }
         }
         Ok(PackedTernary { rows, cols, words_per_row, plus, minus })
     }
@@ -374,12 +377,12 @@ impl<'a> PackedTernary<'a> {
     /// Batched add-only matmul for activations: `Y = X · Wᵀ` with
     /// `X: [n, cols]` row-major, returning `Y: [n, rows]`.
     ///
-    /// Samples are distributed across threads with
-    /// [`thnt_tensor::parallel_zip_chunks`]; within a thread, the dispatched
-    /// [`kernel`] backend computes its contiguous run of samples (the scalar
-    /// backend register-tiles 4 samples per weight-word decode; the SIMD
-    /// backends run the lane-parallel row kernel per sample). Per-sample
-    /// results are independent of the batch they arrive in.
+    /// One call into the dispatched [`kernel`] backend covers the whole
+    /// batch on the calling thread (the scalar backend register-tiles 4
+    /// samples per weight-word decode; the SIMD backends run the
+    /// lane-parallel row kernel per sample). Per-sample results are
+    /// independent of the batch they arrive in. Serving parallelises across
+    /// shards, never inside a kernel call.
     ///
     /// # Panics
     ///
@@ -401,13 +404,7 @@ impl<'a> PackedTernary<'a> {
         if n == 0 || self.rows == 0 {
             return y;
         }
-        let xd = x.data();
-        let (rows, cols) = (self.rows, self.cols);
-        let view = self.view();
-        parallel_zip_chunks(y.data_mut(), rows, |s0, chunk| {
-            let ns = chunk.len() / rows;
-            dispatch.matmul_samples(&view, &xd[s0 * cols..(s0 + ns) * cols], chunk);
-        });
+        dispatch.matmul_samples(&self.view(), x.data(), y.data_mut());
         y
     }
 
@@ -417,7 +414,8 @@ impl<'a> PackedTernary<'a> {
     /// This is the kernel behind the packed convolution engine
     /// (`M = im2col(x)`): each set bit contributes a whole contiguous row of
     /// `M` to the output row, so the inner loop is a unit-stride slice
-    /// add/subtract. Output rows are computed in parallel.
+    /// add/subtract. All output rows are computed in one kernel call on the
+    /// calling thread.
     ///
     /// # Panics
     ///
@@ -453,29 +451,7 @@ impl<'a> PackedTernary<'a> {
         if self.rows == 0 || p == 0 {
             return;
         }
-        let view = self.view();
-        parallel_zip_chunks(out, p, |r0, chunk| dispatch.rhs_rows(&view, m.data(), p, r0, chunk));
-    }
-
-    /// [`Self::matmul_rhs_into`] without the internal row parallelism — for
-    /// callers that are already parallel at a coarser grain (the batched
-    /// convolution engine parallelises across samples, so spawning workers
-    /// per sample here would only oversubscribe). Produces bitwise the same
-    /// output as the parallel variant.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::matmul_rhs_into`].
-    pub fn matmul_rhs_into_serial(&self, m: &Tensor, out: &mut [f32]) {
-        assert_eq!(m.shape().rank(), 2, "packed matmul_rhs expects a 2-D matrix");
-        assert_eq!(m.dims()[0], self.cols, "packed matmul_rhs dimension mismatch");
-        let p = m.dims()[1];
-        assert_eq!(out.len(), self.rows * p, "packed matmul_rhs output length mismatch");
-        out.fill(0.0);
-        if self.rows == 0 || p == 0 {
-            return;
-        }
-        KernelDispatch::get().rhs_rows(&self.view(), m.data(), p, 0, out);
+        dispatch.rhs_rows(&self.view(), m.data(), p, 0, out);
     }
 
     /// The exact number of additions/subtractions [`Self::matvec`] executes:
@@ -647,12 +623,23 @@ mod tests {
         assert!(err.unwrap_err().contains("padding"), "padding bit must be rejected");
 
         // The same entry in both planes.
-        let mut bad_plus = plus.clone();
-        let mut bad_minus = minus;
+        let (mut bad_plus, mut bad_minus) = (plus.clone(), minus.clone());
         bad_plus[0] |= 1;
         bad_minus[0] |= 1;
-        let err = PackedTernary::from_raw_parts(3, 70, bad_plus, bad_minus);
+        let err = PackedTernary::from_raw_parts(3, 70, bad_plus.clone(), bad_minus.clone());
         assert!(err.unwrap_err().contains("both"), "overlapping planes must be rejected");
+
+        // The trusted constructor skips that O(words) overlap scan, but
+        // never the padding check: a padding bit names a column past the
+        // activations.
+        let trusted = |p: Vec<u64>, m: Vec<u64>| {
+            PackedTernary::from_cow_parts_trusted(3, 70, Cow::Owned(p), Cow::Owned(m))
+        };
+        assert!(trusted(bad_plus, bad_minus).is_ok(), "the overlap scan is owning-only");
+        let mut bad = minus.clone();
+        bad[3] |= 1u64 << 63;
+        let err = trusted(plus.clone(), bad).unwrap_err();
+        assert!(err.contains("row 1 has set bits in the padding"), "{err}");
 
         // The untouched layout still loads.
         assert!(PackedTernary::from_raw_parts(3, 70, plus, packed.minus_words().to_vec()).is_ok());

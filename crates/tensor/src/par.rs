@@ -1,10 +1,10 @@
 //! Minimal data-parallel helpers built on `crossbeam` scoped threads.
 //!
-//! The workspace needs exactly two parallel patterns: "run this closure for
-//! every index" (dataset synthesis, per-sample feature extraction) and "give
-//! each thread a disjoint chunk of an output buffer" (batched conv / matmul).
-//! Both are implemented here without a thread-pool dependency; threads are
-//! scoped per call, which is cheap relative to the workloads involved.
+//! Two patterns: "run this closure for every index" and "give each thread a
+//! disjoint chunk of an output buffer". Threads are spawned per call, which
+//! pays off only for offline work of many milliseconds: training, dataset
+//! synthesis, benchmarks. Serving never calls these: its only parallelism
+//! is `thnt-core`'s shards, and one fan-out costs about a batch-1 conv.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

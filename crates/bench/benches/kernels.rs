@@ -54,7 +54,6 @@ fn bench_packed(c: &mut Criterion) {
     let packed = PackedTernary::from_tensor(&w);
     let x = gaussian(&[256], 0.0, 1.0, &mut rng);
     group.bench_function("dense_f32", |b| b.iter(|| matvec(&w, &x)));
-    group.bench_function("packed_per_entry", |b| b.iter(|| packed.matvec_per_entry(x.data())));
     group.bench_function("packed_word", |b| b.iter(|| packed.matvec(x.data())));
     group.finish();
 

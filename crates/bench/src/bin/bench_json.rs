@@ -2,8 +2,8 @@
 //!
 //! Times the dense-vs-packed ternary kernels, end-to-end hybrid inference
 //! through the [`InferenceBackend`] trait, the streaming detection path
-//! (MFCC + model per window), and the multi-session serving layer (many
-//! streams batched through one backend), then writes `BENCH_kernels.json`
+//! (MFCC + model per window), and the sharded serving layer (many streams
+//! batched through shared backends), then writes `BENCH_kernels.json`
 //! to the working directory — a flat list of `{name, iters, mean_ns,
 //! median_ns}` rows that CI can diff and dashboards can ingest without
 //! parsing criterion output. Streaming rows additionally carry
@@ -50,8 +50,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use thnt_core::{
     save_thnt2_with, AlignedBytes, HybridConfig, ModelSpec, PackedStHybrid, QuantizedStHybrid,
-    SaveOptions, ServeConfig, ShardedStreamServer, StHybridNet, StreamServer, StreamingConfig,
-    StreamingDetector,
+    SaveOptions, ServeConfig, ShardedStreamServer, StHybridNet, StreamingConfig, StreamingDetector,
 };
 use thnt_dsp::{DspDispatch, Mfcc, MfccConfig, ReferenceMfcc};
 use thnt_nn::InferenceBackend;
@@ -72,7 +71,7 @@ struct BenchRow {
     /// non-streaming rows.
     windows_per_sec: Option<f64>,
     /// Which dispatch backend (`scalar` | `avx2` | `neon`) executed a
-    /// packed-kernel row; absent on dense/per-entry rows.
+    /// packed-kernel row; absent on dense rows.
     kernel: Option<&'static str>,
     /// Median time of the MFCC stage of a streaming window; present only on
     /// `streaming_window` rows.
@@ -230,66 +229,46 @@ fn time_streaming(backend: &dyn InferenceBackend, iters: usize) -> BenchRow {
     row
 }
 
-/// Times the multi-session serving layer: `sessions` concurrent streams fed
-/// one hop each per round, every round's due windows batched through a
-/// single `tick`. Reported throughput is aggregate windows/sec across all
-/// sessions.
-fn time_multi_stream(backend: &dyn InferenceBackend, sessions: usize, iters: usize) -> BenchRow {
+/// Times the serving layer under deliberate overload: `sessions` streams on
+/// one shard each offer one window per round while `tick_budget` caps a
+/// flush at half that, so the server must shed to hold its latency budget.
+/// The row's `windows_per_sec` is the *sustained* rate (windows actually
+/// served, not offered) and `shed_rate` is the fraction of offered windows
+/// dropped or shed — the overload contract is that both stay positive and
+/// bounded instead of the queue growing without limit.
+fn time_overload<B: InferenceBackend + Sync>(
+    backend: &B,
+    sessions: usize,
+    iters: usize,
+) -> BenchRow {
     let config = StreamingConfig::default();
-    let mut server = StreamServer::new(backend, config, vec![0.0; 10], vec![1.0; 10]);
-    let mut rng = SmallRng::seed_from_u64(43);
-    let ids: Vec<_> =
-        (0..sessions).map(|_| server.try_open().expect("open bench session")).collect();
-    let prefill = gaussian(&[16_000], 0.0, 0.1, &mut rng);
-    for &id in &ids {
-        server.try_feed(id, prefill.data()).expect("prefill bench session");
-    }
-    server.tick();
-    let chunk = gaussian(&[config.hop], 0.0, 0.1, &mut rng);
-    let name = format!("streaming_multi{}/{}_backend", sessions, backend.backend_name());
-    let mut row = time(&name, iters, || {
-        for &id in &ids {
-            server.try_feed(id, chunk.data()).expect("feed bench session");
-        }
-        server.tick()
-    });
-    let wps = sessions as f64 * 1e9 / row.median_ns;
-    row.windows_per_sec = Some(wps);
-    println!("{:<42} {wps:>12.1} windows/sec ({sessions} sessions)", "");
-    row
-}
-
-/// Times the serving layer under deliberate overload: `sessions` streams
-/// each offer one window per round while `tick_budget` caps a tick at half
-/// that, so the server must shed to hold its latency budget. The row's
-/// `windows_per_sec` is the *sustained* rate (windows actually served, not
-/// offered) and `shed_rate` is the fraction of offered windows dropped or
-/// shed — the overload contract is that both stay positive and bounded
-/// instead of the queue growing without limit.
-fn time_overload(backend: &dyn InferenceBackend, sessions: usize, iters: usize) -> BenchRow {
-    let config = StreamingConfig::default();
-    let budget = (sessions / 2).max(1);
-    let mut server = StreamServer::new(backend, config, vec![0.0; 10], vec![1.0; 10])
-        .queue_bound(2)
-        .tick_budget(budget);
-    let mut rng = SmallRng::seed_from_u64(45);
-    let ids: Vec<_> =
-        (0..sessions).map(|_| server.try_open().expect("open bench session")).collect();
-    let prefill = gaussian(&[16_000], 0.0, 0.1, &mut rng);
-    for &id in &ids {
-        server.try_feed(id, prefill.data()).expect("prefill bench session");
-    }
-    server.tick();
-    let chunk = gaussian(&[config.hop], 0.0, 0.1, &mut rng);
-    let before = server.stats();
-    let name = format!("streaming_overload{sessions}/{}_backend", backend.backend_name());
-    let (mean, median) = measure(iters, || {
-        for &id in &ids {
-            server.try_feed(id, chunk.data()).expect("feed bench session");
-        }
-        server.tick()
-    });
-    let after = server.stats();
+    let serve = ServeConfig {
+        queue_bound: 2,
+        tick_budget: (sessions / 2).max(1),
+        ..ServeConfig::deterministic(1)
+    };
+    let spec = ModelSpec::new(backend, MfccConfig::paper(), vec![0.0; 10], vec![1.0; 10]);
+    let (name, mean, median, before, after) =
+        ShardedStreamServer::run(vec![spec], config, serve, |server| {
+            let mut rng = SmallRng::seed_from_u64(45);
+            let ids: Vec<_> =
+                (0..sessions).map(|_| server.try_open().expect("open bench session")).collect();
+            let prefill = gaussian(&[16_000], 0.0, 0.1, &mut rng);
+            for &id in &ids {
+                server.try_feed(id, prefill.data()).expect("prefill bench session");
+            }
+            server.flush();
+            let chunk = gaussian(&[config.hop], 0.0, 0.1, &mut rng);
+            let before = server.stats();
+            let name = format!("streaming_overload{sessions}/{}_backend", backend.backend_name());
+            let (mean, median) = measure(iters, || {
+                for &id in &ids {
+                    server.try_feed(id, chunk.data()).expect("feed bench session");
+                }
+                server.flush()
+            });
+            (name, mean, median, before, server.stats())
+        });
     // `measure` warms up with `iters / 10 + 1` extra rounds on the same
     // server, so per-round accounting must divide by every round run.
     let rounds = (iters + iters / 10 + 1) as f64;
@@ -411,15 +390,12 @@ fn main() {
         KernelDispatch::get().kernel()
     );
 
-    // Ternary matvec: dense f32 vs per-entry decode vs word-level bitplanes,
-    // the latter once per dispatch backend.
+    // Ternary matvec: dense f32 vs word-level bitplanes, the latter once per
+    // dispatch backend.
     let w = ternary_values(&gaussian(&[256, 256], 0.0, 1.0, &mut rng)).values;
     let packed = PackedTernary::from_tensor(&w);
     let x = gaussian(&[256], 0.0, 1.0, &mut rng);
     rows.push(time("matvec_256x256/dense_f32", kernel_iters, || matvec(&w, &x)));
-    rows.push(time("matvec_256x256/packed_per_entry", kernel_iters, || {
-        packed.matvec_per_entry(x.data())
-    }));
     let mut y = vec![0.0f32; 256];
     for d in &kernels {
         rows.push(time_kernel("matvec_256x256/packed_word", d, kernel_iters, || {
@@ -606,28 +582,22 @@ fn main() {
         rows.push(row);
     }
 
-    // Multi-session serving: 8 concurrent streams batched through one
-    // shared backend per tick.
-    for backend in backends {
-        let mut row = time_multi_stream(backend, 8, stream_iters);
-        row.kernel = on_dispatch(backend.backend_name());
-        rows.push(row);
-    }
+    // Serving rows run through the sharded server. The dense interpreter is
+    // absent from them: shards share the backend by reference, which
+    // requires `Sync`, and the interpreter's scratch state is not.
+    //
+    // 8 streams on one shard under deliberate overload (offered load is
+    // twice the per-flush budget): sustained throughput and shed rate.
+    let mut row = time_overload(&engine, 8, stream_iters);
+    row.kernel = on_dispatch(engine.backend_name());
+    rows.push(row);
+    let mut row = time_overload(&quantized, 8, stream_iters);
+    row.kernel = on_dispatch(quantized.backend_name());
+    rows.push(row);
 
-    // The same 8 streams under deliberate overload (offered load is twice
-    // the per-tick budget): sustained throughput and shed rate.
-    for backend in backends {
-        let mut row = time_overload(backend, 8, stream_iters);
-        row.kernel = on_dispatch(backend.backend_name());
-        rows.push(row);
-    }
-
-    // Sharded serving: the same barrier-driven round shape as
-    // `streaming_multi8`, but sessions pinned across worker threads. The
-    // dense interpreter is absent — shards share the backend by reference,
-    // which requires `Sync`, and the interpreter's scratch state is not.
-    // Iteration counts scale down with the session count so one row serves
-    // roughly the same number of windows regardless of fan-out.
+    // Barrier-driven rounds over {1, 4} shards. Iteration counts scale down
+    // with the session count so one row serves roughly the same number of
+    // windows regardless of fan-out.
     for &sessions in &[64usize, 256, 1024] {
         let iters = (stream_iters * 64 / sessions).max(3);
         for &shard_count in &[1usize, 4] {

@@ -29,8 +29,8 @@
 //! quantized paths all serve through the unified
 //! [`thnt_nn::InferenceBackend`] trait — [`streaming`]'s always-on
 //! detector consumes either interchangeably, and [`serve`]'s
-//! [`StreamServer`] multiplexes many concurrent audio sessions over one
-//! shared backend with cross-session batched inference.
+//! [`ShardedStreamServer`] multiplexes many concurrent audio sessions over
+//! shared backends with cross-session batched inference on worker shards.
 //!
 //! # Example
 //!
@@ -78,9 +78,8 @@ pub use experiments::{ExperimentProfile, Profile};
 pub use hybrid::HybridNet;
 pub use quantized::{LayerScales, QuantSchedule, QuantizedStHybrid};
 pub use serve::{
-    FeedReceipt, LatencyHistogram, LatencySummary, ModelId, ModelSpec, OverflowPolicy, ServeConfig,
-    ServeError, ServedDetection, ServerStats, SessionId, ShardSnapshot, ShardedStreamServer,
-    StreamServer, TickReport,
+    LatencyHistogram, LatencySummary, ModelId, ModelSpec, OverflowPolicy, ServeConfig, ServeError,
+    ServedDetection, ServerStats, SessionId, ShardSnapshot, ShardedStreamServer,
 };
 pub use st_hybrid::StHybridNet;
 pub use streaming::{Detection, SessionState, StreamingConfig, StreamingDetector};

@@ -1,18 +1,17 @@
 //! Handles and typed errors for the serving layer: [`SessionId`],
 //! [`ModelId`], and [`ServeError`] — every refusal is a recoverable value
-//! scoped to one call on one session, never a panic.
+//! scoped to one call, never a panic.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// Opaque handle of one audio session on a
-/// [`StreamServer`](crate::serve::StreamServer) or
 /// [`ShardedStreamServer`](crate::serve::ShardedStreamServer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub(crate) u64);
 
 impl SessionId {
     /// Rebuilds a handle from its numeric form (crate-internal: the sharded
-    /// front-end assigns ids so that `id % shards` names the owning shard).
+    /// front door assigns ids so that `id % shards` names the owning shard).
     pub(crate) fn from_raw(raw: u64) -> Self {
         SessionId(raw)
     }
@@ -29,12 +28,11 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// Opaque handle of one registered model on a
-/// [`StreamServer`](crate::serve::StreamServer). The model passed at
-/// construction is [`StreamServer::default_model`](crate::serve::StreamServer::default_model);
-/// more are added with [`StreamServer::register`](crate::serve::StreamServer::register),
-/// and sessions bind to one model for life via
-/// [`StreamServer::try_open_model`](crate::serve::StreamServer::try_open_model).
+/// Opaque handle of one hosted model on a
+/// [`ShardedStreamServer`](crate::serve::ShardedStreamServer): the index of
+/// its [`ModelSpec`](crate::serve::ModelSpec) in the list the server was
+/// built from. Sessions bind to one model for life via
+/// [`ShardedStreamServer::try_open_model`](crate::serve::ShardedStreamServer::try_open_model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelId(pub(crate) u32);
 
@@ -60,9 +58,8 @@ impl std::fmt::Display for ModelId {
     }
 }
 
-/// Why a serving call was refused. Every variant is a recoverable
-/// condition scoped to one call on one session; the server itself stays
-/// fully serviceable.
+/// Why a serving call was refused. Every variant is a recoverable value
+/// that refuses one call; the rest of the server stays serviceable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
     /// The session was never opened, or has been closed.
@@ -76,15 +73,6 @@ pub enum ServeError {
         /// Index of the first non-finite sample in the submitted buffer.
         offset: usize,
     },
-    /// The session's pending-window queue is full and the overflow policy is
-    /// [`OverflowPolicy::Reject`](crate::serve::OverflowPolicy::Reject). The
-    /// call consumed nothing; retry after a tick drains the queue.
-    Backpressure {
-        /// The session whose feed was refused.
-        session: SessionId,
-        /// Windows the session had queued when the feed arrived.
-        queued: usize,
-    },
     /// An open call was refused because the server is at its configured
     /// session limit.
     SessionLimit {
@@ -93,6 +81,13 @@ pub enum ServeError {
     },
     /// An open call named a model that was never registered on this server.
     UnknownModel(ModelId),
+    /// The worker thread of the shard the call lands on has died (it
+    /// panicked outside the per-batch fault isolation), taking that shard's
+    /// sessions with it. Open a new session: it lands on the next shard.
+    ShardUnavailable {
+        /// The dead shard.
+        shard: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -102,13 +97,11 @@ impl std::fmt::Display for ServeError {
             Self::NonFiniteAudio { session, offset } => {
                 write!(f, "{session}: non-finite sample at offset {offset} in feed buffer")
             }
-            Self::Backpressure { session, queued } => {
-                write!(f, "{session}: pending-window queue full ({queued} queued)")
-            }
             Self::SessionLimit { limit } => {
                 write!(f, "session limit reached ({limit} concurrent sessions)")
             }
             Self::UnknownModel(id) => write!(f, "{id} is not registered on this server"),
+            Self::ShardUnavailable { shard } => write!(f, "shard {shard} is down"),
         }
     }
 }

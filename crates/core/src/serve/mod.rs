@@ -4,33 +4,29 @@
 //! throughput.
 //!
 //! [`StreamingDetector`](crate::streaming::StreamingDetector) serves one
-//! stream; a deployment serves thousands. Two layers sit in between:
-//!
-//! * [`StreamServer`] — the single-threaded core. It owns shared
-//!   [`InferenceBackend`](thnt_nn::InferenceBackend) references and
-//!   multiplexes any number of independent audio **sessions** over them.
-//!   Each session keeps only the cheap per-stream state
-//!   ([`SessionState`](crate::streaming::SessionState) ring + posterior
-//!   history); the expensive shared pieces — the MFCC extractor and the
-//!   models — exist once. Feeding snapshots due windows; [`StreamServer::
-//!   tick`] extracts features, runs one batched inference call per model,
-//!   and demuxes detections.
-//! * [`ShardedStreamServer`] — N worker threads, each owning a shard-local
-//!   `StreamServer` (its slice of ring buffers and pending-window queues),
-//!   fed through bounded [`crossbeam::channel`]s. Sessions pin to shards
-//!   (`shard = session_id % shards`), a shard flushes a batch when it
-//!   reaches [`ServeConfig::max_batch`] **or** when
-//!   [`ServeConfig::flush_deadline`] elapses on a partial batch (adaptive
-//!   deadline batching), and per-shard × per-model stats reconcile exactly
-//!   to every marginal.
+//! stream; a deployment serves thousands. [`ShardedStreamServer`] is the
+//! one server that does: N worker threads, each owning a shard engine that
+//! multiplexes its slice of the sessions over shared
+//! [`InferenceBackend`](thnt_nn::InferenceBackend) references. Each session
+//! keeps only the cheap per-stream state
+//! ([`SessionState`](crate::streaming::SessionState) ring + posterior
+//! history); the expensive shared pieces — the MFCC extractor and the
+//! models — exist once per shard and once in total. Sessions pin to shards
+//! (`shard = session_id % shards`) and are fed through bounded
+//! [`crossbeam::channel`]s; a shard extracts features, runs one batched
+//! inference call per model and demuxes detections when its batch reaches
+//! [`ServeConfig::max_batch`], when [`ServeConfig::flush_deadline`] elapses
+//! on a partial batch (adaptive deadline batching), or at an explicit
+//! [`ShardedStreamServer::flush`] barrier. [`ServeConfig::deterministic`]
+//! flushes only at barriers — the mode the oracle tests use.
 //!
 //! Batching and sharding never change results: every backend row is
 //! computed independently of its batch neighbours and every session is
-//! served in feed order by exactly one shard, so a session served through
-//! either server produces exactly the detections an independent
-//! `StreamingDetector` would over the same stream — for **any** shard
-//! count, batch size, or flush timing (enforced by the equivalence
-//! proptests in `crates/core/tests/serve_equivalence.rs`).
+//! served in feed order by exactly one shard, so a served session produces
+//! exactly the detections an independent `StreamingDetector` would over
+//! the same stream — for **any** shard count, batch size, or flush timing
+//! (enforced by the equivalence proptests in
+//! `crates/core/tests/serve_equivalence.rs`).
 //!
 //! # Fault tolerance
 //!
@@ -39,33 +35,36 @@
 //! past construction:
 //!
 //! * **Typed errors, not panics.** Feeds and opens return [`ServeError`]
-//!   for unknown/closed sessions, non-finite audio, backpressure, session
-//!   limits, and unknown models.
+//!   for unknown/closed sessions, non-finite audio, session limits, unknown
+//!   models, and dead shards.
 //! * **Input hardening.** A feed buffer containing `NaN`/`±inf` is rejected
 //!   atomically — no sample of it reaches the ring, the shared MFCC plan, or
 //!   a batched inference that healthy sessions share.
 //! * **Bounded queues.** Per-session pending-window queues are capped
-//!   ([`StreamServer::queue_bound`]) with an explicit [`OverflowPolicy`];
-//!   the sharded ingestion channels are bounded too
+//!   ([`ServeConfig::queue_bound`]) with an explicit [`OverflowPolicy`];
+//!   the ingestion channels are bounded too
 //!   ([`ServeConfig::channel_capacity`]), so overload backpressures the
 //!   producer instead of growing memory.
-//! * **Degraded-mode ticks.** A per-tick latency budget
-//!   ([`StreamServer::tick_budget`]) deterministically sheds the oldest
+//! * **Degraded-mode flushes.** A per-flush latency budget
+//!   ([`ServeConfig::tick_budget`]) deterministically sheds the oldest
 //!   pending windows *before* feature extraction.
 //! * **Fault isolation.** Inference runs through
 //!   [`InferenceBackend::infer_isolated`](thnt_nn::InferenceBackend::infer_isolated):
 //!   a backend call that panics, returns wrong-arity logits, or emits
 //!   non-finite rows quarantines only the affected windows — their healthy
 //!   batch siblings are recovered row-by-row and produce byte-identical
-//!   detections, and on the sharded server the blast radius is further
-//!   confined to the one shard that issued the call (enforced by
-//!   `crates/core/tests/fault_injection.rs` and
-//!   `crates/core/tests/shard_stress.rs` against `thnt_nn::FaultyBackend`).
+//!   detections, and the blast radius is confined to the one shard that
+//!   issued the call (enforced by `crates/core/tests/fault_injection.rs`
+//!   and `crates/core/tests/shard_stress.rs` against
+//!   `thnt_nn::FaultyBackend`). A worker that dies anyway takes only its
+//!   own shard down: calls that land there return
+//!   [`ServeError::ShardUnavailable`].
 //!
-//! Every outcome is accounted: [`StreamServer::stats`] reconciles exactly —
-//! `windows_fed == windows_accounted() + pending_windows()` always holds —
-//! and on the sharded server the same identity holds **per model × per
-//! shard cell**, so both marginals and the grand total reconcile too.
+//! Every outcome is accounted in exactly one [`ServerStats`] cell per
+//! shard × model, each of which reconciles on its own —
+//! `windows_fed == windows_accounted() + pending` — so every sum of cells
+//! ([`ShardedStreamServer::stats`], [`ShardedStreamServer::stats_for`],
+//! [`ShardedStreamServer::shard_stats`]) reconciles too.
 
 // Serving hot path: failures must surface as `ServeError` values or stats
 // counters, never as panics — one bad stream must not take down the server.
@@ -79,8 +78,5 @@ mod sharded;
 mod stats;
 
 pub use error::{ModelId, ServeError, SessionId};
-pub use server::{OverflowPolicy, StreamServer};
-pub use sharded::{ModelSpec, ServeConfig, ShardSnapshot, ShardedStreamServer};
-pub use stats::{
-    FeedReceipt, LatencyHistogram, LatencySummary, ServedDetection, ServerStats, TickReport,
-};
+pub use sharded::{ModelSpec, OverflowPolicy, ServeConfig, ShardSnapshot, ShardedStreamServer};
+pub use stats::{LatencyHistogram, LatencySummary, ServedDetection, ServerStats};

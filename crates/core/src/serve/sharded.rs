@@ -1,16 +1,17 @@
-//! The sharded multi-threaded serving front-end: [`ShardedStreamServer`]
-//! pins sessions to N worker shards, each owning a shard-local
-//! [`StreamServer`] (its slice of ring buffers and pending-window queues),
-//! fed through bounded [`crossbeam::channel`]s, with adaptive deadline
-//! batching and per-shard × per-model stats that reconcile exactly.
+//! The serving front door: [`ShardedStreamServer`] pins sessions to N
+//! worker shards, each owning a shard engine (its slice of ring buffers and
+//! pending-window queues), fed through bounded [`crossbeam::channel`]s,
+//! with adaptive deadline batching and one stats ledger cell per
+//! shard × model.
 //!
 //! # Topology
 //!
 //! ```text
 //!                    bounded cmd channel          worker thread (one per shard)
 //!  caller ──open──▸ ┌──────────────────┐   ┌──────────────────────────────────┐
-//!   id % N = shard  │ Open/Feed/Close  │──▸│ shard-local StreamServer         │
-//!         ──feed──▸ │ Flush/Snapshot   │   │  rings · pending · MFCC · infer  │
+//!   id % N = shard  │ Open/Feed/Close  │──▸│ shard engine                     │
+//!         ──feed──▸ │ Refused/Flush/   │   │  rings · pending · MFCC · infer  │
+//!                   │ Snapshot         │   │  one ServerStats cell per model  │
 //!                   └──────────────────┘   └──────────────┬───────────────────┘
 //!                                                         │ Vec<ServedDetection>
 //!                   ┌───────────────────────◂─────────────┘
@@ -32,22 +33,32 @@
 //! waiting [`ServeConfig::flush_deadline`] (the worker sleeps in
 //! `recv_timeout` for exactly the remainder, so the deadline needs no
 //! polling thread); an explicit [`ShardedStreamServer::flush`] barrier
-//! arrives; or the front-end shuts down. With `flush_deadline: None` and
+//! arrives; or the front door shuts down. With `flush_deadline: None` and
 //! `max_batch: 0` a shard flushes **only** at explicit barriers — the
 //! deterministic mode the oracle tests pin down.
 //!
-//! # Stats reconciliation
+//! # One ledger
 //!
-//! Every shard keeps the full per-model [`ServerStats`] ledger of its own
-//! windows and nothing else — no window ever crosses shards — so the
-//! model × shard cells reconcile independently
-//! (`windows_fed == windows_accounted() + pending` per cell), and sums
-//! along either axis ([`ShardedStreamServer::stats_for`],
-//! [`ShardedStreamServer::shard_stats`]) or both
-//! ([`ShardedStreamServer::stats`]) reconcile too. Feed calls the
-//! front-end refuses before dispatch (non-finite audio) are accounted
-//! client-side per (shard, model) and folded into `rejected_feeds` at
-//! every read, so nothing is double- or un-counted.
+//! Every event — a window fed, served, dropped, shed, closed or
+//! quarantined, a refused feed, a faulted backend call — increments exactly
+//! one [`ServerStats`] cell: the one for the session's model on the shard
+//! that owns the session. No window ever crosses shards, so each cell
+//! reconciles on its own (`windows_fed == windows_accounted() + pending`),
+//! and every other ledger is a sum of cells: per shard
+//! ([`ShardSnapshot::stats`], [`ShardedStreamServer::shard_stats`]), per
+//! model ([`ShardedStreamServer::stats_for`]) and in total
+//! ([`ShardedStreamServer::stats`]). A feed the front door refuses
+//! (non-finite audio) is sent to the owning shard as a command too, so the
+//! refusal lands in that session's cell.
+//!
+//! # Shard death
+//!
+//! A worker that panics outside the per-batch fault isolation exits, and
+//! its command channel disconnects. From then on, opens and feeds that land
+//! on its shard return [`ServeError::ShardUnavailable`],
+//! [`ShardedStreamServer::shard_snapshots`] names it, and the other read
+//! paths cover the live shards only. [`ShardedStreamServer::run`] re-raises
+//! the worker's panic when it joins the workers.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -60,24 +71,39 @@ use thnt_nn::InferenceBackend;
 
 use crate::artifact::InferenceMeta;
 use crate::serve::error::{ModelId, ServeError, SessionId};
-use crate::serve::server::{OverflowPolicy, StreamServer};
+use crate::serve::server::StreamServer;
 use crate::serve::stats::{LatencyHistogram, LatencySummary, ServedDetection, ServerStats};
 use crate::streaming::StreamingConfig;
+
+/// What to do when a feed makes a window due but the session's
+/// pending-window queue is already at [`ServeConfig::queue_bound`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum OverflowPolicy {
+    /// Evict the session's **oldest** queued window to admit the new one —
+    /// real-time posture: fresh audio always wins, latency stays bounded.
+    #[default]
+    DropOldest,
+    /// Discard the **new** window and keep the queue as-is — backlog
+    /// posture: already-queued work is never thrown away.
+    DropNewest,
+}
 
 /// Everything needed to host one model on every shard: the shared backend
 /// reference (zero-copy: each shard borrows the same engine, so N shards
 /// cost no extra model bytes) plus its MFCC geometry and normalisation
 /// statistics.
 pub struct ModelSpec<'m, B: InferenceBackend + ?Sized> {
-    backend: &'m B,
-    mfcc: MfccConfig,
-    norm_mean: Vec<f32>,
-    norm_std: Vec<f32>,
+    pub(crate) backend: &'m B,
+    pub(crate) mfcc: MfccConfig,
+    pub(crate) norm_mean: Vec<f32>,
+    pub(crate) norm_std: Vec<f32>,
 }
 
 impl<'m, B: InferenceBackend + ?Sized> ModelSpec<'m, B> {
-    /// Describes a model by backend, MFCC config, and normalisation stats
-    /// (same contract as [`StreamServer::with_mfcc`]).
+    /// Describes a model by backend, MFCC config, and normalisation stats.
+    /// The statistics need one entry per MFCC coefficient, and the backend
+    /// more classes than [`StreamingConfig::suppress_trailing`];
+    /// [`ShardedStreamServer::run`] checks both.
     pub fn new(backend: &'m B, mfcc: MfccConfig, norm_mean: Vec<f32>, norm_std: Vec<f32>) -> Self {
         Self { backend, mfcc, norm_mean, norm_std }
     }
@@ -89,18 +115,10 @@ impl<'m, B: InferenceBackend + ?Sized> ModelSpec<'m, B> {
     }
 }
 
-/// Configuration of the sharded serving layer. The admission knobs
-/// (`queue_bound`, `overflow`, `tick_budget`) mirror the [`StreamServer`]
-/// builders and apply per shard-local server; the rest shape the sharding
-/// itself.
-///
-/// One behavioural divergence from the single-threaded server: admission
-/// runs on the worker thread, so under [`OverflowPolicy::Reject`] the
-/// up-front [`ServeError::Backpressure`] refusal cannot be returned to the
-/// caller synchronously — the feed is accepted by the channel and the
-/// refusal lands in the stats (`rejected_feeds` / `windows_rejected`)
-/// instead. Backpressure a caller *can* feel is the bounded command
-/// channel: a feed into a saturated shard blocks until the worker drains.
+/// Configuration of the serving layer. The admission knobs (`queue_bound`,
+/// `overflow`, `tick_budget`) apply per shard; the rest shape the sharding
+/// itself. The backpressure a caller feels is the bounded command channel:
+/// a feed into a saturated shard blocks until the worker drains.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Number of worker shards (threads); 0 is treated as 1.
@@ -108,16 +126,17 @@ pub struct ServeConfig {
     /// Flush a shard's batch at this many pending windows, and cap windows
     /// per backend call. `0` = unbounded (flush only on deadline/barrier).
     pub max_batch: usize,
-    /// Per-session pending-window cap ([`StreamServer::queue_bound`]);
-    /// `0` = unbounded.
+    /// Per-session pending-window cap; `0` = unbounded.
     pub queue_bound: usize,
     /// Policy when a due window meets a full session queue.
     pub overflow: OverflowPolicy,
-    /// Per-tick latency budget ([`StreamServer::tick_budget`]); `0` =
+    /// Max windows one shard infers per flush — the latency budget. When
+    /// more are pending, the **oldest** are shed before any feature
+    /// extraction and counted in [`ServerStats::windows_shed`]. `0` =
     /// unbounded.
     pub tick_budget: usize,
     /// Max concurrent sessions across all shards (enforced at the
-    /// front-end); `0` = unbounded.
+    /// front door); `0` = unbounded.
     pub max_sessions: usize,
     /// Adaptive deadline: a shard holding a partial batch this long flushes
     /// it rather than waiting for `max_batch`. `None` disables the
@@ -171,36 +190,47 @@ impl ServeConfig {
 }
 
 /// One shard's quiescent view of itself, taken at a
-/// [`ShardedStreamServer::shard_snapshots`] barrier: the shard's aggregate
-/// and per-model ledgers, queue depth, and latency histogram. Snapshots are
-/// FIFO-consistent — every command the front-end sent before the snapshot
-/// request is reflected.
+/// [`ShardedStreamServer::shard_snapshots`] barrier: its ledger cells,
+/// queue depths, and latency histogram. Snapshots are FIFO-consistent —
+/// every command the front door sent before the snapshot request is
+/// reflected.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// Which shard this snapshot describes.
     pub shard: usize,
-    /// The shard's aggregate ledger (sum of its per-model cells).
-    pub stats: ServerStats,
-    /// The shard's per-model cells, indexed by [`ModelId::raw`].
+    /// The shard's ledger cells, one per model, indexed by
+    /// [`ModelId::raw`]. Every event on the shard lands in exactly one.
     pub per_model: Vec<ServerStats>,
-    /// Windows currently pending on this shard (its queue depth).
-    pub pending_windows: usize,
     /// Pending windows per model, indexed like `per_model`.
     pub per_model_pending: Vec<usize>,
     /// Sessions currently open on this shard.
     pub sessions: usize,
     /// Feed-to-vote latency histogram of windows this shard served.
     pub latency: LatencyHistogram,
-    /// Time since the shard's worker started.
+    /// Time since the shard was built.
     pub uptime: Duration,
 }
 
 impl ShardSnapshot {
+    /// The shard's ledger: the sum of its per-model cells.
+    pub fn stats(&self) -> ServerStats {
+        let mut total = ServerStats::default();
+        for cell in &self.per_model {
+            total.merge(cell);
+        }
+        total
+    }
+
+    /// Windows currently pending on this shard (its queue depth).
+    pub fn pending_windows(&self) -> usize {
+        self.per_model_pending.iter().sum()
+    }
+
     /// Windows this shard has served per second of uptime.
     pub fn windows_per_sec(&self) -> f64 {
         let secs = self.uptime.as_secs_f64();
         if secs > 0.0 {
-            self.stats.windows_served as f64 / secs
+            self.stats().windows_served as f64 / secs
         } else {
             0.0
         }
@@ -211,11 +241,13 @@ impl ShardSnapshot {
 /// one session travels the same FIFO channel, which is what makes the shard
 /// serve that session's windows in feed order.
 enum Cmd {
-    /// Admit a session under a front-end-assigned id.
+    /// Admit a session under a front-door-assigned id.
     Open { session: u64, model: ModelId },
     /// Close a session; its queued windows are accounted `closed` at the
     /// shard's next flush.
     Close { session: u64 },
+    /// Count a feed the front door refused against a model's cell.
+    Refused { model: usize },
     /// Buffer audio into a session's ring; due windows join the shard's
     /// pending queue under the configured admission policy.
     Feed { session: u64, samples: Vec<f32> },
@@ -226,12 +258,12 @@ enum Cmd {
     Snapshot { reply: channel::Sender<ShardSnapshot> },
 }
 
-/// The multi-threaded serving front-end: sessions pinned to N worker
-/// shards, bounded-channel ingestion, per-shard batched MFCC + inference
-/// with deadline batching, exactly-reconciled per-shard × per-model stats.
+/// The serving front door: sessions pinned to N worker shards,
+/// bounded-channel ingestion, per-shard batched MFCC + inference with
+/// deadline batching, and one ledger cell per shard × model.
 ///
 /// Built with [`ShardedStreamServer::run`], which scopes the worker
-/// threads: the closure receives the front-end handle, and every worker is
+/// threads: the closure receives the front-door handle, and every worker is
 /// flushed and joined before `run` returns.
 ///
 /// # Example
@@ -277,29 +309,30 @@ pub struct ShardedStreamServer {
     cmd: Vec<channel::Sender<Cmd>>,
     out: channel::Receiver<Vec<ServedDetection>>,
     next_id: u64,
-    /// Front-end session table: id → model index. Mirrors the union of the
+    /// Front-door session table: id → model index. Mirrors the union of the
     /// shards' tables; used for synchronous validation (unknown session,
     /// unknown model, session limit) without a worker round-trip.
     sessions: HashMap<u64, usize>,
     num_models: usize,
     max_sessions: usize,
-    /// Feed calls refused client-side (non-finite audio) per
-    /// `[shard][model]`; folded into `rejected_feeds` at every stats read.
-    refused: Vec<Vec<u64>>,
 }
 
 impl ShardedStreamServer {
-    /// Spawns one worker thread per [`ServeConfig::shards`], each hosting
-    /// every model in `models` on a shard-local [`StreamServer`], runs `f`
-    /// with the front-end handle, then flushes and joins every worker. The
+    /// Builds one shard engine per [`ServeConfig::shards`], each hosting
+    /// every model in `models`, spawns a worker thread per shard, runs `f`
+    /// with the front-door handle, then flushes and joins every worker. The
     /// models' backends are shared by reference across shards (`B: Sync`),
     /// so a zero-copy engine borrowed from a mapped artifact serves all
     /// shards without duplication.
     ///
     /// # Panics
     ///
-    /// Panics if `models` is empty, or on the same per-model construction
-    /// contract as [`StreamServer::new`] (statistics length, class count).
+    /// Panics if `models` is empty, if a model's statistics do not have one
+    /// entry per MFCC coefficient, or if its backend's class count does not
+    /// exceed [`StreamingConfig::suppress_trailing`] — all before any worker
+    /// starts. Re-raises the panic of a worker that died (see
+    /// [`ServeError::ShardUnavailable`]) once `f` has returned and the
+    /// workers are joined.
     pub fn run<B, R>(
         models: Vec<ModelSpec<'_, B>>,
         config: StreamingConfig,
@@ -310,36 +343,40 @@ impl ShardedStreamServer {
         B: InferenceBackend + Sync + ?Sized,
     {
         assert!(!models.is_empty(), "a sharded server needs at least one model");
-        let shard_count = serve.shards.max(1);
-        let cap = serve.channel_capacity.max(1);
-        let mut txs = Vec::with_capacity(shard_count);
-        let mut rxs = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let (tx, rx) = channel::bounded(cap);
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let shards: Vec<_> = (0..serve.shards.max(1))
+            .map(|shard| StreamServer::new(shard, &models, config, &serve))
+            .collect();
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            shards.iter().map(|_| channel::bounded(serve.channel_capacity.max(1))).unzip();
         let (out_tx, out_rx) = channel::unbounded();
-        let models_ref = &models;
+        let mut front = ShardedStreamServer {
+            cmd: txs,
+            out: out_rx,
+            next_id: 0,
+            sessions: HashMap::new(),
+            num_models: models.len(),
+            max_sessions: serve.max_sessions,
+        };
         std::thread::scope(move |scope| {
-            for (shard, rx) in rxs.into_iter().enumerate() {
-                let out = out_tx.clone();
-                scope.spawn(move || worker(shard, rx, out, models_ref, config, serve));
-            }
+            let workers: Vec<_> = shards
+                .into_iter()
+                .zip(rxs)
+                .map(|(shard, rx)| {
+                    let out = out_tx.clone();
+                    scope.spawn(move || worker(shard, rx, out, serve))
+                })
+                .collect();
             drop(out_tx);
-            let mut front = ShardedStreamServer {
-                cmd: txs,
-                out: out_rx,
-                next_id: 0,
-                sessions: HashMap::new(),
-                num_models: models_ref.len(),
-                max_sessions: serve.max_sessions,
-                refused: vec![vec![0; models_ref.len()]; shard_count],
-            };
-            f(&mut front)
-            // `front` drops here, disconnecting the command channels; each
-            // worker flushes its remaining batch and exits, and the scope
-            // joins them before `run` returns.
+            let result = f(&mut front);
+            // Disconnecting the command channels makes each live worker
+            // flush its remaining batch and exit.
+            drop(front);
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            result
         })
     }
 
@@ -370,19 +407,24 @@ impl ShardedStreamServer {
         self.sessions.len()
     }
 
+    /// Sends `cmd` to `shard`'s worker; a worker that has exited has
+    /// dropped its receiver, which makes the shard unavailable.
+    fn send(&self, shard: usize, cmd: Cmd) -> Result<(), ServeError> {
+        self.cmd[shard].send(cmd).map_err(|_| ServeError::ShardUnavailable { shard })
+    }
+
     /// Opens a session on the default model. See [`Self::try_open_model`].
     ///
     /// # Errors
     ///
-    /// [`ServeError::SessionLimit`] when [`ServeConfig::max_sessions`] is
-    /// set and reached.
+    /// As [`Self::try_open_model`].
     pub fn try_open(&mut self) -> Result<SessionId, ServeError> {
         self.try_open_model(ModelId::new(0))
     }
 
     /// Opens a session bound to a registered model and pins it to shard
     /// `id % shards`. Validation (unknown model, session limit) happens
-    /// synchronously at the front-end; admission on the owning shard
+    /// synchronously at the front door; admission on the owning shard
     /// follows in FIFO order, ahead of any feed for the session.
     ///
     /// # Errors
@@ -390,6 +432,8 @@ impl ShardedStreamServer {
     /// * [`ServeError::UnknownModel`] — `model` is out of range.
     /// * [`ServeError::SessionLimit`] — [`ServeConfig::max_sessions`] is
     ///   set and reached (across all shards).
+    /// * [`ServeError::ShardUnavailable`] — the session's shard has died.
+    ///   Its id is spent, so the next open lands on the next shard.
     pub fn try_open_model(&mut self, model: ModelId) -> Result<SessionId, ServeError> {
         if (model.raw() as usize) >= self.num_models {
             return Err(ServeError::UnknownModel(model));
@@ -397,54 +441,51 @@ impl ShardedStreamServer {
         if self.max_sessions > 0 && self.sessions.len() >= self.max_sessions {
             return Err(ServeError::SessionLimit { limit: self.max_sessions });
         }
-        let id = self.next_id;
+        let id = SessionId::from_raw(self.next_id);
         self.next_id += 1;
-        self.sessions.insert(id, model.raw() as usize);
-        let shard = (id % self.cmd.len() as u64) as usize;
-        let _ = self.cmd[shard].send(Cmd::Open { session: id, model });
-        Ok(SessionId::from_raw(id))
+        self.send(self.shard_of(id), Cmd::Open { session: id.raw(), model })?;
+        self.sessions.insert(id.raw(), model.raw() as usize);
+        Ok(id)
     }
 
     /// Closes a session. Audio already fed keeps flowing through the
     /// shard's FIFO: windows still queued there when the close lands are
-    /// accounted `windows_closed` at the shard's next flush — exactly the
-    /// single-threaded close semantics. Returns whether the session was
-    /// open.
+    /// accounted `windows_closed` at the shard's next flush. Returns whether
+    /// the session was open.
     pub fn close(&mut self, id: SessionId) -> bool {
         if self.sessions.remove(&id.raw()).is_none() {
             return false;
         }
-        let shard = self.shard_of(id);
-        let _ = self.cmd[shard].send(Cmd::Close { session: id.raw() });
+        // A dead shard holds nothing left to close.
+        let _ = self.send(self.shard_of(id), Cmd::Close { session: id.raw() });
         true
     }
 
     /// Feeds audio into `id`'s stream via its shard's bounded channel.
     /// Admission (queue bounds, overflow policy, window accounting) runs on
     /// the worker; a feed into a saturated shard blocks until the worker
-    /// drains — that blocking *is* the backpressure. Unknown sessions and
-    /// non-finite audio are refused synchronously here, before any audio is
-    /// dispatched, with the same atomic no-consumption guarantee as
-    /// [`StreamServer::try_feed`].
+    /// drains — that blocking *is* the backpressure.
     ///
     /// # Errors
     ///
     /// * [`ServeError::UnknownSession`] — `id` was never opened or is
     ///   closed.
-    /// * [`ServeError::NonFiniteAudio`] — `samples` contains `NaN`/`±inf`;
-    ///   counted in `rejected_feeds` against the session's (shard, model)
-    ///   cell.
+    /// * [`ServeError::NonFiniteAudio`] — `samples` contains `NaN`/`±inf`.
+    ///   No sample is dispatched, so the caller can clean the buffer and
+    ///   re-submit it whole; the refusal counts in `rejected_feeds` of the
+    ///   session's cell.
+    /// * [`ServeError::ShardUnavailable`] — the session's shard has died,
+    ///   and with it the session.
     pub fn try_feed(&mut self, id: SessionId, samples: &[f32]) -> Result<(), ServeError> {
         let Some(&model) = self.sessions.get(&id.raw()) else {
             return Err(ServeError::UnknownSession(id));
         };
         let shard = self.shard_of(id);
         if let Some(offset) = samples.iter().position(|v| !v.is_finite()) {
-            self.refused[shard][model] += 1;
+            self.send(shard, Cmd::Refused { model })?;
             return Err(ServeError::NonFiniteAudio { session: id, offset });
         }
-        let _ = self.cmd[shard].send(Cmd::Feed { session: id.raw(), samples: samples.to_vec() });
-        Ok(())
+        self.send(shard, Cmd::Feed { session: id.raw(), samples: samples.to_vec() })
     }
 
     /// Collects every detection the shards have emitted so far without
@@ -459,10 +500,10 @@ impl ShardedStreamServer {
         out
     }
 
-    /// Barrier: makes every shard flush its pending batch now, waits for
-    /// all acks, and returns everything emitted up to and including those
-    /// flushes. After `flush` returns, no window fed before the call is
-    /// still pending anywhere.
+    /// Barrier: makes every live shard flush its pending batch now, waits
+    /// for their acks, and returns everything emitted up to and including
+    /// those flushes. After `flush` returns, no window fed to a live shard
+    /// before the call is still pending.
     pub fn flush(&mut self) -> Vec<ServedDetection> {
         let acks: Vec<channel::Receiver<()>> = self
             .cmd
@@ -474,7 +515,7 @@ impl ShardedStreamServer {
             })
             .collect();
         for ack in acks {
-            // A worker that already exited (disconnected) has flushed.
+            // A dead shard drops the request, which ends the wait.
             let _ = ack.recv();
         }
         // Each worker enqueued its detections on the out channel before
@@ -482,114 +523,78 @@ impl ShardedStreamServer {
         self.drain()
     }
 
-    /// One quiescent snapshot per shard (FIFO-consistent: reflects every
-    /// command sent before this call), in shard order.
-    pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        let replies: Vec<channel::Receiver<ShardSnapshot>> = self
-            .cmd
-            .iter()
-            .map(|tx| {
-                let (reply, rx) = channel::bounded(1);
-                let _ = tx.send(Cmd::Snapshot { reply });
-                rx
-            })
-            .collect();
-        replies.into_iter().filter_map(|rx| rx.recv().ok()).collect()
+    /// One snapshot per shard in shard order, `None` for a shard whose
+    /// worker has exited. Every request is sent before any reply is
+    /// awaited, so the shards answer in parallel.
+    fn snapshots(&self) -> Vec<Option<ShardSnapshot>> {
+        let replies: Vec<_> = self.cmd.iter().map(request_snapshot).collect();
+        replies.into_iter().map(|rx| rx.recv().ok()).collect()
     }
 
-    /// The full per-shard × per-model ledger matrix, indexed
-    /// `[shard][model]`, with client-side refusals folded in. Every cell
-    /// reconciles independently; summing along either axis reproduces
-    /// [`Self::shard_stats`] / [`Self::stats_for`], and the grand total is
-    /// [`Self::stats`].
-    pub fn stats_matrix(&self) -> Vec<Vec<ServerStats>> {
-        self.shard_snapshots()
-            .iter()
-            .map(|snap| {
-                (0..self.num_models)
-                    .map(|m| {
-                        let mut cell = snap.per_model.get(m).copied().unwrap_or_default();
-                        cell.rejected_feeds += self.refused[snap.shard][m];
-                        cell
-                    })
-                    .collect()
-            })
+    /// One quiescent snapshot per shard (FIFO-consistent: reflects every
+    /// command sent before this call), in shard order.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ShardUnavailable`] naming the first shard whose worker
+    /// has exited.
+    pub fn shard_snapshots(&self) -> Result<Vec<ShardSnapshot>, ServeError> {
+        self.snapshots()
+            .into_iter()
+            .enumerate()
+            .map(|(shard, snap)| snap.ok_or(ServeError::ShardUnavailable { shard }))
             .collect()
     }
 
-    /// Aggregate lifetime counters across every shard and model. Same
-    /// reconciliation invariant as [`StreamServer::stats`]:
+    /// Lifetime counters summed over every cell of the live shards. Each
+    /// cell reconciles, so the total does too:
     /// `windows_fed == windows_accounted() + pending_windows()`.
     pub fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
-        for snap in self.shard_snapshots() {
-            total.merge(&snap.stats);
-        }
-        for row in &self.refused {
-            for &n in row {
-                total.rejected_feeds += n;
-            }
+        for snap in self.snapshots().into_iter().flatten() {
+            total.merge(&snap.stats());
         }
         total
     }
 
-    /// One model's counters summed across shards (the per-model marginal),
-    /// or `None` for a handle out of range. Reconciles against that
-    /// model's pending windows summed across shards.
+    /// One model's cells summed across the live shards, or `None` for a
+    /// handle out of range. Reconciles against that model's pending windows
+    /// summed across the same shards.
     pub fn stats_for(&self, model: ModelId) -> Option<ServerStats> {
         let m = model.raw() as usize;
         if m >= self.num_models {
             return None;
         }
         let mut total = ServerStats::default();
-        for snap in self.shard_snapshots() {
+        for snap in self.snapshots().into_iter().flatten() {
             if let Some(cell) = snap.per_model.get(m) {
                 total.merge(cell);
             }
-            total.rejected_feeds += self.refused[snap.shard][m];
         }
         Some(total)
     }
 
-    /// One shard's counters summed across models (the per-shard marginal),
-    /// or `None` for a shard out of range. Reconciles against that shard's
-    /// queue depth.
+    /// One shard's cells summed across models, or `None` for a shard out of
+    /// range or one whose worker has exited. Reconciles against that
+    /// shard's queue depth.
     pub fn shard_stats(&self, shard: usize) -> Option<ServerStats> {
-        if shard >= self.cmd.len() {
-            return None;
-        }
-        self.shard_snapshots().into_iter().find(|s| s.shard == shard).map(|snap| {
-            let mut total = snap.stats;
-            for &n in &self.refused[shard] {
-                total.rejected_feeds += n;
-            }
-            total
-        })
+        request_snapshot(self.cmd.get(shard)?).recv().ok().map(|snap| snap.stats())
     }
 
-    /// Windows currently pending across all shards.
+    /// Windows currently pending across the live shards.
     pub fn pending_windows(&self) -> usize {
-        self.shard_snapshots().iter().map(|s| s.pending_windows).sum()
+        self.snapshots().iter().flatten().map(ShardSnapshot::pending_windows).sum()
     }
 
-    /// Feed-to-vote latency quantiles over every served window, merged
-    /// bucket-wise across shards (exact: equals the histogram of the union
+    /// Feed-to-vote latency quantiles over every window the live shards
+    /// served, merged bucket-wise (exact: equals the histogram of the union
     /// of samples).
     pub fn latency(&self) -> LatencySummary {
         let mut merged = LatencyHistogram::new();
-        for snap in self.shard_snapshots() {
+        for snap in self.snapshots().into_iter().flatten() {
             merged.merge(&snap.latency);
         }
         merged.summary()
-    }
-
-    /// One shard's feed-to-vote latency quantiles, or `None` for a shard
-    /// out of range.
-    pub fn shard_latency(&self, shard: usize) -> Option<LatencySummary> {
-        if shard >= self.cmd.len() {
-            return None;
-        }
-        self.shard_snapshots().into_iter().find(|s| s.shard == shard).map(|s| s.latency.summary())
     }
 }
 
@@ -603,51 +608,38 @@ impl std::fmt::Debug for ShardedStreamServer {
     }
 }
 
-/// Ticks the shard's server and emits any detections. The send happens
-/// before any subsequent `Flush` ack on the same worker, which is what
-/// makes [`ShardedStreamServer::flush`] lossless.
+/// Asks one shard for its snapshot. A dead shard drops the request, so the
+/// returned receiver reports the disconnect instead of a snapshot.
+fn request_snapshot(tx: &channel::Sender<Cmd>) -> channel::Receiver<ShardSnapshot> {
+    let (reply, rx) = channel::bounded(1);
+    let _ = tx.send(Cmd::Snapshot { reply });
+    rx
+}
+
+/// Ticks the shard and emits any detections. The send happens before any
+/// subsequent `Flush` ack on the same worker, which is what makes
+/// [`ShardedStreamServer::flush`] lossless.
 fn flush_shard<B: InferenceBackend + ?Sized>(
-    server: &mut StreamServer<'_, B>,
+    shard: &mut StreamServer<'_, B>,
     out: &channel::Sender<Vec<ServedDetection>>,
 ) {
-    let report = server.tick_report();
-    if !report.detections.is_empty() {
-        // The front-end dropping its receiver mid-shutdown is the only
+    let detections = shard.tick();
+    if !detections.is_empty() {
+        // The front door dropping its receiver mid-shutdown is the only
         // failure; those detections are undeliverable by construction.
-        let _ = out.send(report.detections);
+        let _ = out.send(detections);
     }
 }
 
-/// One shard's worker loop: drain the FIFO command channel into a
-/// shard-local [`StreamServer`], flushing on batch size, deadline expiry,
-/// explicit barrier, or shutdown.
-fn worker<B: InferenceBackend + Sync + ?Sized>(
-    shard: usize,
+/// One shard's worker loop: drain the FIFO command channel into the shard
+/// engine, flushing on batch size, deadline expiry, explicit barrier, or
+/// shutdown.
+fn worker<B: InferenceBackend + ?Sized>(
+    mut shard: StreamServer<'_, B>,
     rx: channel::Receiver<Cmd>,
     out: channel::Sender<Vec<ServedDetection>>,
-    models: &[ModelSpec<'_, B>],
-    config: StreamingConfig,
     serve: ServeConfig,
 ) {
-    // Shard-local server with unlimited sessions (the front-end enforces
-    // the global cap).
-    let mut specs = models.iter();
-    let Some(first) = specs.next() else { return };
-    let mut server = StreamServer::with_mfcc(
-        first.backend,
-        config,
-        first.mfcc,
-        first.norm_mean.clone(),
-        first.norm_std.clone(),
-    )
-    .max_batch(serve.max_batch)
-    .queue_bound(serve.queue_bound)
-    .overflow_policy(serve.overflow)
-    .tick_budget(serve.tick_budget);
-    for spec in specs {
-        server.register(spec.backend, spec.mfcc, spec.norm_mean.clone(), spec.norm_std.clone());
-    }
-    let started = Instant::now();
     // While a partial batch is pending, when did it start waiting?
     let mut batch_since: Option<Instant> = None;
     loop {
@@ -670,62 +662,45 @@ fn worker<B: InferenceBackend + Sync + ?Sized>(
         };
         let Some(cmd) = received else {
             // Deadline flush: the partial batch has waited long enough.
-            flush_shard(&mut server, &out);
+            flush_shard(&mut shard, &out);
             batch_since = None;
             continue;
         };
         match cmd {
             Cmd::Open { session, model } => {
-                // Front-end validated the model and id; a failure here
-                // would mean a protocol bug and surfaces as the session
-                // erroring on feed accounting, never as a panic.
-                let _ = server.admit_session(session, model);
+                // The front door validated the model and never reuses an
+                // id, so admission cannot fail.
+                let _ = shard.admit_session(session, model);
             }
-            Cmd::Close { session } => {
-                server.close(SessionId::from_raw(session));
-            }
+            Cmd::Close { session } => shard.close(session),
+            Cmd::Refused { model } => shard.refuse(model),
             Cmd::Feed { session, samples } => {
-                // Finiteness was checked at the front-end; admission
-                // outcomes (drops, rejects) land in the shard's ledger via
-                // the receipt-free stats path.
-                let _ = server.try_feed(SessionId::from_raw(session), &samples);
-                if server.pending_windows() == 0 {
+                shard.feed(session, &samples);
+                if shard.pending_windows() == 0 {
                     batch_since = None;
                 } else {
                     if batch_since.is_none() {
                         batch_since = Some(Instant::now());
                     }
-                    if serve.max_batch > 0 && server.pending_windows() >= serve.max_batch {
-                        flush_shard(&mut server, &out);
+                    if serve.max_batch > 0 && shard.pending_windows() >= serve.max_batch {
+                        flush_shard(&mut shard, &out);
                         batch_since = None;
                     }
                 }
             }
             Cmd::Flush { done } => {
-                flush_shard(&mut server, &out);
+                flush_shard(&mut shard, &out);
                 batch_since = None;
                 let _ = done.send(());
             }
             Cmd::Snapshot { reply } => {
-                let num_models = server.num_models();
-                let _ = reply.send(ShardSnapshot {
-                    shard,
-                    stats: server.stats(),
-                    per_model: server.model_stats_vec(),
-                    pending_windows: server.pending_windows(),
-                    per_model_pending: (0..num_models)
-                        .map(|m| server.pending_windows_for(ModelId::new(m as u32)))
-                        .collect(),
-                    sessions: server.num_sessions(),
-                    latency: server.latency_histogram().clone(),
-                    uptime: started.elapsed(),
-                });
+                let _ = reply.send(shard.snapshot());
             }
         }
     }
-    // Front-end gone: serve whatever was accepted, then exit. The scope in
-    // `run` joins this thread before returning.
-    flush_shard(&mut server, &out);
+    // Front door gone: serve whatever was accepted, then exit. `run` joins
+    // this thread before returning.
+    flush_shard(&mut shard, &out);
 }
 
 #[cfg(test)]
@@ -832,27 +807,22 @@ mod tests {
     #[test]
     fn sharded_detections_match_single_threaded_server_for_any_shard_count() {
         let backend = Probe { classes: 6 };
-        // Reference: the single-threaded server over the same five streams.
-        let mut reference = StreamServer::with_mfcc(
-            &backend,
-            small_config(),
-            small_mfcc(),
-            vec![0.0; 10],
-            vec![1.0; 10],
-        );
-        let mut ref_ids = Vec::new();
-        for _ in 0..5 {
-            ref_ids.push(reference.try_open().unwrap());
+        // Reference: one shard engine driven on this thread over the same
+        // five streams.
+        let mut reference =
+            StreamServer::new(0, &[spec(&backend)], small_config(), &ServeConfig::deterministic(1));
+        for id in 0..5 {
+            reference.admit_session(id, ModelId::new(0)).unwrap();
         }
         let mut expected = Vec::new();
         for round in 0..4u64 {
-            for (s, &id) in ref_ids.iter().enumerate() {
-                reference.try_feed(id, &chirp(1100, s as u64 * 5 + round)).unwrap();
+            for s in 0..5 {
+                reference.feed(s, &chirp(1100, s * 5 + round));
             }
             expected.extend(reference.tick());
         }
         expected.extend(reference.tick());
-        assert!(reference.stats().windows_served > 0);
+        assert!(reference.snapshot().stats().windows_served > 0);
         let expected = by_session(&expected);
 
         for shards in [1usize, 2, 4, 7] {
@@ -895,31 +865,30 @@ mod tests {
             for (s, &id) in ids.iter().enumerate() {
                 server.try_feed(id, &chirp(2_600, s as u64)).unwrap();
             }
-            // One refused feed lands client-side against session 0's cell.
+            // One refused feed lands in session 0's cell: shard 0, model 0.
             assert!(matches!(
                 server.try_feed(ids[0], &[0.0, f32::NAN]),
                 Err(ServeError::NonFiniteAudio { .. })
             ));
             server.flush();
 
-            let matrix = server.stats_matrix();
-            assert_eq!(matrix.len(), 3);
+            let snaps = server.shard_snapshots().unwrap();
+            assert_eq!(snaps.len(), 3);
+            assert_eq!(snaps[0].per_model[0].rejected_feeds, 1);
             let mut grand = ServerStats::default();
-            for (shard, row) in matrix.iter().enumerate() {
-                assert_eq!(row.len(), 2);
-                let mut shard_sum = ServerStats::default();
-                for cell in row {
+            for snap in &snaps {
+                assert_eq!(snap.per_model.len(), 2);
+                for cell in &snap.per_model {
                     // Per-cell ledger identity at a quiescent point.
-                    assert_eq!(cell.windows_fed, cell.windows_accounted(), "shard {shard}");
-                    shard_sum.merge(cell);
+                    assert_eq!(cell.windows_fed, cell.windows_accounted(), "shard {}", snap.shard);
                     grand.merge(cell);
                 }
-                assert_eq!(Some(shard_sum), server.shard_stats(shard));
+                assert_eq!(Some(snap.stats()), server.shard_stats(snap.shard));
             }
             for m in 0..2u32 {
                 let mut model_sum = ServerStats::default();
-                for row in &matrix {
-                    model_sum.merge(&row[m as usize]);
+                for snap in &snaps {
+                    model_sum.merge(&snap.per_model[m as usize]);
                 }
                 assert_eq!(Some(model_sum), server.stats_for(ModelId::new(m)));
             }
@@ -927,6 +896,7 @@ mod tests {
             assert_eq!(grand.rejected_feeds, 1);
             assert!(grand.windows_served > 0);
             assert_eq!(server.latency().count, grand.windows_served);
+            assert_eq!(server.shard_stats(3), None, "shard out of range");
         });
     }
 

@@ -1,7 +1,6 @@
 //! Serving accounting: the exactly-reconciled [`ServerStats`] ledger,
-//! per-call [`FeedReceipt`]s, per-tick [`TickReport`]s, demuxed
-//! [`ServedDetection`]s, and the log₂-bucketed [`LatencyHistogram`] behind
-//! the p50/p99 window-latency figures.
+//! demuxed [`ServedDetection`]s, and the log₂-bucketed [`LatencyHistogram`]
+//! behind the p50/p99 window-latency figures.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -10,18 +9,21 @@ use std::time::Duration;
 use crate::serve::error::SessionId;
 use crate::streaming::Detection;
 
-/// Monotonic counters over everything a server has done, exposed via
-/// [`StreamServer::stats`](crate::serve::StreamServer::stats) and, per
-/// model × shard cell, via
-/// [`ShardedStreamServer::stats_matrix`](crate::serve::ShardedStreamServer::stats_matrix).
+/// Monotonic counters over everything a server has done. Each shard keeps
+/// one cell per model ([`ShardSnapshot::per_model`]); every other ledger —
+/// [`ShardedStreamServer::stats`], [`ShardedStreamServer::stats_for`],
+/// [`ShardedStreamServer::shard_stats`] — is a sum of cells.
 ///
 /// The counters **reconcile exactly**: every window a feed ever made due is
 /// either still pending or in exactly one terminal counter, so
-/// `windows_fed == windows_accounted() + pending_windows()` at every
-/// quiescent point (the overload proptests assert it after every call). On
-/// the sharded server the identity holds independently in every
-/// model × shard cell, so summing cells along either axis — or both —
-/// yields ledgers that reconcile too.
+/// `windows_fed == windows_accounted() + pending_windows()` holds in every
+/// cell at every quiescent point (the overload proptests assert it after
+/// every call), and therefore in every sum of cells too.
+///
+/// [`ShardSnapshot::per_model`]: crate::serve::ShardSnapshot::per_model
+/// [`ShardedStreamServer::stats`]: crate::serve::ShardedStreamServer::stats
+/// [`ShardedStreamServer::stats_for`]: crate::serve::ShardedStreamServer::stats_for
+/// [`ShardedStreamServer::shard_stats`]: crate::serve::ShardedStreamServer::shard_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Windows that became due across all feeds (before admission control).
@@ -34,12 +36,11 @@ pub struct ServerStats {
     /// [`OverflowPolicy::DropNewest`](crate::serve::OverflowPolicy::DropNewest)
     /// refusal.
     pub windows_dropped: u64,
-    /// Windows discarded under
-    /// [`OverflowPolicy::Reject`](crate::serve::OverflowPolicy::Reject)
-    /// because the queue filled mid-call.
+    /// Always 0: no admission policy rejects windows any more. The field
+    /// stays so code that names every counter keeps compiling.
     pub windows_rejected: u64,
     /// Windows shed by the
-    /// [`StreamServer::tick_budget`](crate::serve::StreamServer::tick_budget)
+    /// [`ServeConfig::tick_budget`](crate::serve::ServeConfig::tick_budget)
     /// latency budget.
     pub windows_shed: u64,
     /// Windows dropped because their session closed before the tick.
@@ -48,9 +49,7 @@ pub struct ServerStats {
     /// non-finite values): no vote, no detection, session survives.
     pub windows_quarantined: u64,
     /// Whole feed calls refused with no audio consumed
-    /// ([`ServeError::NonFiniteAudio`](crate::serve::ServeError::NonFiniteAudio)
-    /// or up-front
-    /// [`ServeError::Backpressure`](crate::serve::ServeError::Backpressure)).
+    /// ([`ServeError::NonFiniteAudio`](crate::serve::ServeError::NonFiniteAudio)).
     pub rejected_feeds: u64,
     /// Backend calls that panicked or returned malformed logits, including
     /// failed single-row retries (from [`thnt_nn::IsolatedBatch`]).
@@ -86,43 +85,6 @@ impl ServerStats {
         self.rejected_feeds += other.rejected_feeds;
         self.faulted_calls += other.faulted_calls;
     }
-}
-
-/// Per-call admission summary returned by
-/// [`StreamServer::try_feed`](crate::serve::StreamServer::try_feed): how
-/// the windows this call made due were handled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FeedReceipt {
-    /// Windows admitted to the pending queue.
-    pub queued: usize,
-    /// Windows discarded by the drop policies (this session's oldest under
-    /// [`OverflowPolicy::DropOldest`](crate::serve::OverflowPolicy::DropOldest),
-    /// the new one under
-    /// [`OverflowPolicy::DropNewest`](crate::serve::OverflowPolicy::DropNewest)).
-    pub dropped: usize,
-    /// New windows discarded under
-    /// [`OverflowPolicy::Reject`](crate::serve::OverflowPolicy::Reject)
-    /// after the queue filled mid-call.
-    pub rejected: usize,
-}
-
-/// Outcome of one
-/// [`StreamServer::tick_report`](crate::serve::StreamServer::tick_report):
-/// the detections plus the tick's share of the [`ServerStats`] movement.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TickReport {
-    /// Detections demuxed per session, in window arrival order.
-    pub detections: Vec<ServedDetection>,
-    /// Windows inferred and voted this tick.
-    pub served: u64,
-    /// Oldest windows shed up-front by the latency budget.
-    pub shed: u64,
-    /// Windows dropped because their session had closed.
-    pub closed: u64,
-    /// Windows whose logits were unusable and cast no vote.
-    pub quarantined: u64,
-    /// Backend calls that panicked or returned malformed logits this tick.
-    pub faulted_calls: u64,
 }
 
 /// A detection demuxed back to the session that produced it.

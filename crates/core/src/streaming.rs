@@ -16,7 +16,7 @@
 //!   confidence clears `threshold`.
 //!
 //! The per-stream buffering lives in [`SessionState`] so that the
-//! multi-session server ([`crate::serve::StreamServer`]) can reuse it: the
+//! multi-session server ([`crate::serve::ShardedStreamServer`]) can reuse it: the
 //! ring is index-based (head pointer plus wrap-aware window extraction into
 //! a reusable scratch buffer), so pushing a sample is a single write — no
 //! per-sample shifting — and the per-window cost collapses to MFCC plus
@@ -81,7 +81,7 @@ pub struct Detection {
 /// `copy_from_slice` calls into a reusable scratch buffer. This is the state
 /// a serving layer keeps **per session**, while the expensive parts (the
 /// MFCC extractor and the inference backend) are shared across sessions —
-/// see [`crate::serve::StreamServer`].
+/// see [`crate::serve::ShardedStreamServer`].
 #[derive(Debug, Clone)]
 pub struct SessionState {
     ring: Vec<f32>,
@@ -182,7 +182,8 @@ pub(crate) fn normalize_in_place(data: &mut [f32], mean: &[f32], std: &[f32]) {
 
 /// Pushes one window's posteriors into the smoothing history and returns the
 /// `(class, confidence)` of the best smoothed class — the shared vote step
-/// of [`StreamingDetector`] and [`crate::serve::StreamServer`].
+/// of [`StreamingDetector`] and [`crate::serve::ShardedStreamServer`]'s
+/// shards.
 ///
 /// NaN-safe: non-finite smoothed posteriors are ignored by the argmax, and
 /// `None` is returned when no class has a finite smoothed posterior (empty

@@ -12,7 +12,7 @@ use thnt_core::{
 use thnt_dsp::MfccConfig;
 use thnt_nn::Model;
 use thnt_quant::CalibrationMethod;
-use thnt_strassen::Strassenified;
+use thnt_strassen::{PackedTernary, StLayer, Strassenified};
 
 fn frozen_engine(
     seed: u64,
@@ -395,4 +395,84 @@ proptest! {
         }));
         prop_assert!(outcome.is_ok(), "byte flips panicked a loader ({:?}, seed {})", opts, seed);
     }
+}
+
+/// Where the live bytes the zero-copy loader lends to the kernels sit in an
+/// aligned v3 inline `blob` of `net`'s engine: every non-padding bit of
+/// each strassenified conv's `W_b`/`W_c` bitplanes, as `(byte, bit mask)`,
+/// and every byte of its `â` and bias payloads. Found by searching the blob
+/// for the bytes the compiled planes and payloads must have.
+fn live_targets(net: &StHybridNet, blob: &[u8]) -> (Vec<(usize, u8)>, Vec<usize>) {
+    let find = |bytes: &[u8]| {
+        blob.windows(bytes.len()).position(|w| w == bytes).expect("payload is stored inline")
+    };
+    let (mut bits, mut payload) = (Vec::new(), Vec::new());
+    for layer in net.front().layers() {
+        let StLayer::Conv(conv) = layer else { continue };
+        let wb = conv.wb_values();
+        let rows = wb.dims()[0];
+        for matrix in [wb.reshape(&[rows, wb.numel() / rows]), conv.wc_values().clone()] {
+            let packed = PackedTernary::from_tensor(&matrix);
+            for plane in [packed.plus_words(), packed.minus_words()] {
+                let bytes: Vec<u8> = plane.iter().flat_map(|w| w.to_le_bytes()).collect();
+                let at = find(&bytes);
+                for row in 0..packed.rows() {
+                    for col in 0..packed.cols() {
+                        let word = row * packed.words_per_row() + col / 64;
+                        bits.push((at + word * 8 + (col % 64) / 8, 1u8 << (col % 8)));
+                    }
+                }
+            }
+        }
+        for values in [conv.a_hat_values(), conv.bias_values()] {
+            let bytes: Vec<u8> = values.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+            let at = find(&bytes);
+            payload.extend(at..at + bytes.len());
+        }
+    }
+    (bits, payload)
+}
+
+/// Targeted flips in what an aligned v3 inline blob lends to the SIMD
+/// kernels. Random flips almost never land there (most plane bits are
+/// padding), so each case flips one live bit: a non-padding bitplane bit of
+/// a conv, or one bit of a byte of its `â`/bias payload. `load_ref` may
+/// accept or reject the blob but must not panic, and every blob it accepts
+/// must serve one forward pass without panicking, under whichever kernel
+/// `THNT_KERNEL` selects. The case fails if no flip of either kind loads.
+#[test]
+fn flips_in_borrowed_planes_and_payloads_never_panic() {
+    let (net, engine) = frozen_engine(31, 6, 1);
+    let mut blob = Vec::new();
+    thnt_core::save_thnt2_with(&engine, None, SaveOptions::v3(), &mut blob).unwrap();
+    let aligned = AlignedBytes::from_slice(&blob);
+    let (clean, _) = PackedStHybrid::load_ref(&aligned).unwrap();
+    assert!(clean.bitplanes_borrowed(), "the target is the zero-copy path");
+    let (bits, payload) = live_targets(&net, &blob);
+    let mut rng = SmallRng::seed_from_u64(31);
+    let x = thnt_tensor::gaussian(&[1, 1, 49, 10], 0.0, 1.0, &mut rng);
+    // Flips that loaded: [plane bits, payload bytes].
+    let mut loaded = [0usize; 2];
+    for case in 0..96 {
+        let mut flipped = blob.clone();
+        let kind = case % 2;
+        if kind == 0 {
+            let (byte, mask) = bits[rand::Rng::gen_range(&mut rng, 0..bits.len())];
+            flipped[byte] ^= mask;
+        } else {
+            let byte = payload[rand::Rng::gen_range(&mut rng, 0..payload.len())];
+            flipped[byte] ^= 1 << rand::Rng::gen_range(&mut rng, 0..8u32);
+        }
+        let aligned = AlignedBytes::from_slice(&flipped);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            PackedStHybrid::load_ref(&aligned).map(|(engine, _)| engine.forward(&x)).is_ok()
+        }));
+        match outcome {
+            Ok(true) => loaded[kind] += 1,
+            Ok(false) => {}
+            Err(_) => panic!("case {case}: a flip in a borrowed plane or payload panicked"),
+        }
+    }
+    assert!(loaded[0] > 0, "no plane-bit flip loaded: the case is vacuous");
+    assert!(loaded[1] > 0, "no payload flip loaded: the case is vacuous");
 }

@@ -6,6 +6,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use thnt_core::ShardedStreamServer;
 use thnt_dsp::MfccConfig;
 use thnt_nn::InferenceBackend;
 use thnt_tensor::Tensor;
@@ -77,6 +78,24 @@ pub fn chirp_stream(len: usize, seed: u64, sample_rate: f32, f0: f32, df: f32) -
             (2.0 * std::f32::consts::PI * (f0 + df * phase) * phase).sin() * 0.4 + n
         })
         .collect()
+}
+
+/// Asserts the ledger identity in every shard × model cell at a quiescent
+/// point: `windows_fed == windows_accounted() + pending`. Every other
+/// ledger the server reports is a sum of cells, so this is the whole
+/// reconciliation.
+pub fn assert_cells_reconcile(server: &ShardedStreamServer, context: &str) {
+    let snaps = server.shard_snapshots().expect("every shard is alive");
+    for snap in &snaps {
+        for (m, cell) in snap.per_model.iter().enumerate() {
+            assert_eq!(
+                cell.windows_fed,
+                cell.windows_accounted() + snap.per_model_pending[m] as u64,
+                "{context}: cell (shard {}, model {m}) drifted: {cell:?}",
+                snap.shard
+            );
+        }
+    }
 }
 
 /// From-scratch single-window pipeline: MFCC → normalise → infer → softmax

@@ -7,7 +7,9 @@
 //!
 //! The chaos source is [`thnt_nn::FaultyBackend`] wrapping the same
 //! deterministic `Probe` stub the equivalence suite uses; all fault
-//! triggers are pure functions of the call's input, so every scenario is
+//! triggers are pure functions of the call's input, and the front door runs
+//! in deterministic mode (`THNT_SERVE_SHARDS` picks the shard count;
+//! default 1, so every session shares one batch), so every scenario is
 //! exactly reproducible.
 
 mod common;
@@ -20,7 +22,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use thnt_core::{
-    Detection, SessionId, SessionState, StreamServer, StreamingConfig, StreamingDetector,
+    Detection, ModelSpec, ServeConfig, ServerStats, SessionId, SessionState, ShardedStreamServer,
+    StreamingConfig, StreamingDetector,
 };
 use thnt_nn::{FaultMode, FaultyBackend, InferenceBackend};
 
@@ -51,39 +54,46 @@ fn config() -> StreamingConfig {
 const MEAN: f32 = 0.0;
 const STD: f32 = 1.0;
 
-fn server<B: InferenceBackend + ?Sized>(backend: &B) -> StreamServer<'_, B> {
-    StreamServer::with_mfcc(backend, config(), small_mfcc(), vec![MEAN; 10], vec![STD; 10])
+/// Runs `f` against the front door over `backend` with barrier-only
+/// flushing and a per-call batch cap of `max_batch` (`0` = unbounded).
+fn serve<B: InferenceBackend + Sync, R>(
+    backend: &B,
+    max_batch: usize,
+    f: impl FnOnce(&mut ShardedStreamServer) -> R,
+) -> R {
+    let spec = ModelSpec::new(backend, small_mfcc(), vec![MEAN; 10], vec![STD; 10]);
+    let serve =
+        ServeConfig { max_batch, ..ServeConfig::deterministic(ServeConfig::shards_from_env(1)) };
+    ShardedStreamServer::run(vec![spec], config(), serve, f)
 }
 
 /// Runs `streams` through a server over `backend` with a fixed interleaved
-/// schedule (uneven chunks, tick every round) and returns each stream's
-/// detections.
-fn run_sessions<'m, B: InferenceBackend + ?Sized>(
-    backend: &'m B,
+/// schedule (uneven chunks, a flush barrier every round) and returns each
+/// stream's detections and the final stats.
+fn run_sessions<B: InferenceBackend + Sync>(
+    backend: &B,
     streams: &[Vec<f32>],
-) -> (Vec<Vec<Detection>>, StreamServer<'m, B>) {
-    let mut srv = server(backend);
-    let ids: Vec<SessionId> = streams.iter().map(|_| srv.try_open().expect("open")).collect();
-    let mut served: HashMap<SessionId, Vec<Detection>> = HashMap::new();
-    let chunk = 777usize;
-    let rounds = streams.iter().map(|s| s.len()).max().unwrap_or(0).div_ceil(chunk);
-    for r in 0..rounds {
-        for (k, stream) in streams.iter().enumerate() {
-            let start = (r * chunk).min(stream.len());
-            let end = ((r + 1) * chunk).min(stream.len());
-            if start < end {
-                srv.try_feed(ids[k], &stream[start..end]).expect("feed");
+) -> (Vec<Vec<Detection>>, ServerStats) {
+    serve(backend, 0, |srv| {
+        let ids: Vec<SessionId> = streams.iter().map(|_| srv.try_open().expect("open")).collect();
+        let mut served: HashMap<SessionId, Vec<Detection>> = HashMap::new();
+        let chunk = 777usize;
+        let rounds = streams.iter().map(|s| s.len()).max().unwrap_or(0).div_ceil(chunk);
+        for r in 0..rounds {
+            for (k, stream) in streams.iter().enumerate() {
+                let start = (r * chunk).min(stream.len());
+                let end = ((r + 1) * chunk).min(stream.len());
+                if start < end {
+                    srv.try_feed(ids[k], &stream[start..end]).expect("feed");
+                }
+            }
+            for d in srv.flush() {
+                served.entry(d.session).or_default().push(d.detection);
             }
         }
-        for d in srv.tick() {
-            served.entry(d.session).or_default().push(d.detection);
-        }
-    }
-    for d in srv.tick() {
-        served.entry(d.session).or_default().push(d.detection);
-    }
-    let per_stream = ids.iter().map(|id| served.remove(id).unwrap_or_default()).collect();
-    (per_stream, srv)
+        let per_stream = ids.iter().map(|id| served.remove(id).unwrap_or_default()).collect();
+        (per_stream, srv.stats())
+    })
 }
 
 /// Mean absolute normalised MFCC feature of every due window in `stream` —
@@ -138,10 +148,9 @@ fn nan_poisoned_sibling_leaves_healthy_sessions_byte_identical() {
     let streams = vec![healthy[0].clone(), hot.clone(), healthy[1].clone()];
     let (baseline, _) = run_sessions(&probe, &streams);
     let faulty = FaultyBackend::new(&probe, FaultMode::NanAboveEnergy { threshold });
-    let (under_fault, srv) = run_sessions(&faulty, &streams);
+    let (under_fault, stats) = run_sessions(&faulty, &streams);
 
     assert!(faulty.injected() > 0, "the fault must actually fire");
-    let stats = srv.stats();
     assert!(stats.windows_quarantined > 0, "poisoned windows must be quarantined: {stats:?}");
     assert_eq!(
         stats.windows_quarantined,
@@ -171,9 +180,8 @@ fn injected_batch_panics_are_contained_and_recovered() {
     // Every multi-window batch panics; single-row retries succeed, so every
     // session's detections survive byte-identically.
     let faulty = FaultyBackend::new(&probe, FaultMode::PanicOnBatch { min_batch: 2 });
-    let (under_fault, srv) = run_sessions(&faulty, &streams);
+    let (under_fault, stats) = run_sessions(&faulty, &streams);
     assert!(faulty.injected() > 0, "panics must actually fire");
-    let stats = srv.stats();
     assert!(stats.faulted_calls > 0, "panicking calls must be counted: {stats:?}");
     assert_eq!(stats.windows_quarantined, 0, "all rows recover via single-row retries");
     assert!(baseline.iter().any(|d| !d.is_empty()), "vacuous: no detections anywhere");
@@ -190,9 +198,9 @@ fn wrong_arity_logits_are_contained_and_recovered() {
     let (baseline, _) = run_sessions(&probe, &streams);
 
     let faulty = FaultyBackend::new(&probe, FaultMode::WrongArityOnBatch { min_batch: 2 });
-    let (under_fault, srv) = run_sessions(&faulty, &streams);
+    let (under_fault, stats) = run_sessions(&faulty, &streams);
     assert!(faulty.injected() > 0);
-    assert!(srv.stats().faulted_calls > 0);
+    assert!(stats.faulted_calls > 0);
     assert_eq!(under_fault, baseline, "wrong-arity batches must recover byte-identically");
 }
 
@@ -202,9 +210,8 @@ fn a_totally_broken_backend_quarantines_everything_without_panicking() {
     // min_batch 1: even single-row retries return the wrong arity — nothing
     // is recoverable, but the server must stay alive and account for it all.
     let faulty = FaultyBackend::new(&probe, FaultMode::WrongArityOnBatch { min_batch: 1 });
-    let (detections, srv) = run_sessions(&faulty, &[healthy_stream(31), healthy_stream(32)]);
+    let (detections, stats) = run_sessions(&faulty, &[healthy_stream(31), healthy_stream(32)]);
     assert!(detections.iter().all(|d| d.is_empty()), "unusable logits must never detect");
-    let stats = srv.stats();
     assert!(stats.windows_fed > 0);
     assert_eq!(stats.windows_quarantined, stats.windows_fed, "every window quarantined");
     assert_eq!(stats.windows_served, 0);
@@ -215,7 +222,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Randomised schedules under randomised faults: with any mix of
-    /// sessions, chunk sizes, and tick placement, and a backend that
+    /// sessions, chunk sizes, and flush placement, and a backend that
     /// panics or mis-shapes every multi-row batch, each session's
     /// detections are byte-identical to an independent fault-free
     /// [`StreamingDetector`] over its own stream.
@@ -238,31 +245,33 @@ proptest! {
             .map(|k| chirp_stream(rng.gen_range(3_000..6_000), seed ^ ((k as u64) << 9), 2_000.0, 90.0, 70.0))
             .collect();
 
-        let mut srv = server(&faulty).max_batch(rng.gen_range(0..5usize));
-        let ids: Vec<SessionId> =
-            streams.iter().map(|_| srv.try_open().expect("open")).collect();
-        let mut fed = vec![0usize; num_sessions];
-        let mut served: HashMap<SessionId, Vec<Detection>> = HashMap::new();
-        while fed.iter().zip(&streams).any(|(&f, s)| f < s.len()) {
-            for k in 0..num_sessions {
-                if fed[k] >= streams[k].len() {
-                    continue;
-                }
-                let chunk = rng.gen_range(1..900usize).min(streams[k].len() - fed[k]);
-                srv.try_feed(ids[k], &streams[k][fed[k]..fed[k] + chunk]).expect("feed");
-                fed[k] += chunk;
-                if rng.gen_range(0..3usize) == 0 {
-                    for d in srv.tick() {
-                        served.entry(d.session).or_default().push(d.detection);
+        let max_batch = rng.gen_range(0..5usize);
+        let (mut served, ids, stats) = serve(&faulty, max_batch, |srv| {
+            let ids: Vec<SessionId> =
+                streams.iter().map(|_| srv.try_open().expect("open")).collect();
+            let mut fed = vec![0usize; num_sessions];
+            let mut served: HashMap<SessionId, Vec<Detection>> = HashMap::new();
+            while fed.iter().zip(&streams).any(|(&f, s)| f < s.len()) {
+                for k in 0..num_sessions {
+                    if fed[k] >= streams[k].len() {
+                        continue;
+                    }
+                    let chunk = rng.gen_range(1..900usize).min(streams[k].len() - fed[k]);
+                    srv.try_feed(ids[k], &streams[k][fed[k]..fed[k] + chunk]).expect("feed");
+                    fed[k] += chunk;
+                    if rng.gen_range(0..3usize) == 0 {
+                        for d in srv.flush() {
+                            served.entry(d.session).or_default().push(d.detection);
+                        }
                     }
                 }
             }
-        }
-        for d in srv.tick() {
-            served.entry(d.session).or_default().push(d.detection);
-        }
+            for d in srv.flush() {
+                served.entry(d.session).or_default().push(d.detection);
+            }
+            (served, ids, srv.stats())
+        });
 
-        let stats = srv.stats();
         prop_assert_eq!(stats.windows_quarantined, 0, "min_batch 2 recovers every row");
         prop_assert_eq!(stats.windows_fed, stats.windows_accounted());
         for (k, id) in ids.iter().enumerate() {

@@ -17,6 +17,10 @@
 //!    rows quarantines only the windows it actually corrupted: healthy
 //!    batch siblings and sessions on other shards detect byte-identically,
 //!    and the damage is visible only in the owning shard's ledger cell.
+//! 5. **A dead shard is an error, not a silent `Ok`.** A worker that panics
+//!    outside the per-batch fault isolation takes only its own shard down:
+//!    calls that land there return `ShardUnavailable`, the other shards keep
+//!    serving, and `run` re-raises the worker's panic.
 //!
 //! Every schedule here is deterministic (fixed seeds, explicit barriers in
 //! deterministic mode), so failures reproduce exactly. `THNT_SERVE_SHARDS`
@@ -26,17 +30,19 @@
 mod common;
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
-use common::{chirp_stream, small_mfcc, PipelineOracle, Probe};
+use common::{assert_cells_reconcile, chirp_stream, small_mfcc, PipelineOracle, Probe};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use thnt_core::{
-    Detection, ModelId, ModelSpec, OverflowPolicy, ServeConfig, ServerStats, SessionId,
+    Detection, ModelId, ModelSpec, OverflowPolicy, ServeConfig, ServeError, ServerStats, SessionId,
     SessionState, ShardedStreamServer, StreamingConfig, StreamingDetector,
 };
-use thnt_nn::{FaultMode, FaultyBackend};
+use thnt_nn::{FaultMode, FaultyBackend, InferenceBackend, IsolatedBatch};
+use thnt_tensor::Tensor;
 
 const HOP: usize = 500;
 const WINDOW: usize = 2_000;
@@ -78,40 +84,10 @@ fn quiet_injected_panics() {
     });
 }
 
-/// Asserts the full reconciliation lattice at a quiescent point: every
-/// per-shard × per-model cell closes its own books against its own pending
-/// windows, cells sum to the shard aggregates, and the marginals sum to the
-/// grand total.
-fn assert_reconciled(server: &ShardedStreamServer, context: &str) {
-    let snaps = server.shard_snapshots();
-    let mut grand = ServerStats::default();
-    let mut grand_pending = 0usize;
-    for snap in &snaps {
-        let mut shard_sum = ServerStats::default();
-        for (m, cell) in snap.per_model.iter().enumerate() {
-            assert_eq!(
-                cell.windows_fed,
-                cell.windows_accounted() + snap.per_model_pending[m] as u64,
-                "{context}: cell (shard {}, model {m}) drifted: {cell:?}",
-                snap.shard
-            );
-            shard_sum.merge(cell);
-        }
-        assert_eq!(shard_sum, snap.stats, "{context}: shard {} cells != aggregate", snap.shard);
-        assert_eq!(
-            snap.per_model_pending.iter().sum::<usize>(),
-            snap.pending_windows,
-            "{context}: shard {} pending drifted",
-            snap.shard
-        );
-        grand.merge(&snap.stats);
-        grand_pending += snap.pending_windows;
-    }
-    assert_eq!(
-        grand.windows_fed,
-        grand.windows_accounted() + grand_pending as u64,
-        "{context}: grand total drifted: {grand:?}"
-    );
+/// Every shard's ledger cells, indexed `[shard][model]`.
+fn cells(server: &ShardedStreamServer) -> Vec<Vec<ServerStats>> {
+    let snaps = server.shard_snapshots().expect("every shard is alive");
+    snaps.into_iter().map(|snap| snap.per_model).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -138,7 +114,7 @@ fn sustained_overload_reconciles_and_holds_memory_flat_across_shards() {
         for round in 0..10 {
             for &id in &ids {
                 server.try_feed(id, &stream).unwrap();
-                assert_reconciled(server, "after feed");
+                assert_cells_reconcile(server, "after feed");
             }
             // Memory flat: per-session queues never exceed the bound, no
             // matter how far offered load outruns the budgeted ticks.
@@ -148,7 +124,7 @@ fn sustained_overload_reconciles_and_holds_memory_flat_across_shards() {
                 server.pending_windows()
             );
             server.flush();
-            assert_reconciled(server, "after flush");
+            assert_cells_reconcile(server, "after flush");
         }
         let stats = server.stats();
         assert!(stats.windows_dropped > 0, "overload must evict: {stats:?}");
@@ -245,7 +221,7 @@ fn drop_oldest_matches_unbounded_oracle_across_shards() {
             for sim in sims.iter_mut() {
                 sim.survivors.extend(sim.queue.drain(..));
             }
-            assert_reconciled(server, "after drain");
+            assert_cells_reconcile(server, "after drain");
             (served, ids, server.stats())
         });
 
@@ -304,7 +280,7 @@ fn deadline_flushes_partial_batches_without_barriers() {
         let latency = server.latency();
         assert_eq!(latency.count, want);
         assert!(latency.p50_ns > 0 && latency.p50_ns <= latency.p99_ns);
-        assert_reconciled(server, "after deadline flush");
+        assert_cells_reconcile(server, "after deadline flush");
     });
 }
 
@@ -342,7 +318,7 @@ fn hot_stream() -> Vec<f32> {
 
 /// Feeds `streams` (session k = stream k) through a sharded server in fixed
 /// 777-sample rounds with a barrier per round; returns per-stream detections
-/// and the final stats matrix.
+/// and the final ledger cells.
 fn run_sharded_sessions<B: thnt_nn::InferenceBackend + Sync>(
     backend: &B,
     streams: &[Vec<f32>],
@@ -370,9 +346,9 @@ fn run_sharded_sessions<B: thnt_nn::InferenceBackend + Sync>(
                     served.entry(d.session).or_default().push(d.detection);
                 }
             }
-            assert_reconciled(server, "after fault run");
+            assert_cells_reconcile(server, "after fault run");
             let per_stream = ids.iter().map(|id| served.remove(id).unwrap_or_default()).collect();
-            (per_stream, server.stats_matrix())
+            (per_stream, cells(server))
         },
     )
 }
@@ -479,13 +455,17 @@ fn stats_matrix_marginals_reconcile_with_mixed_outcomes() {
             }
             server.flush();
         }
-        // A couple of client-side refusals against known cells.
+        // A couple of front-door refusals, each counted in its session's
+        // cell: session 0 is (shard 0, model 0), session 1 is (shard 1,
+        // model 1).
         for &id in &ids[..2] {
             assert!(server.try_feed(id, &[1.0, f32::INFINITY]).is_err());
         }
 
-        let matrix = server.stats_matrix();
+        let matrix = cells(server);
         assert_eq!(matrix.len(), 3);
+        assert_eq!(matrix[0][0].rejected_feeds, 1);
+        assert_eq!(matrix[1][1].rejected_feeds, 1);
         // Every counter class the schedule can produce is present somewhere,
         // so the marginal checks below aren't vacuous.
         let mut grand = ServerStats::default();
@@ -513,6 +493,90 @@ fn stats_matrix_marginals_reconcile_with_mixed_outcomes() {
             }
             assert_eq!(Some(sum), server.stats_for(ModelId::new(m)), "model {m} marginal drifted");
         }
-        assert_reconciled(server, "mixed outcomes");
+        assert_cells_reconcile(server, "mixed outcomes");
     });
+}
+
+// ---------------------------------------------------------------------------
+// 5. Shard death: an error, not a silent `Ok`.
+// ---------------------------------------------------------------------------
+
+/// A backend whose first `infer_isolated` call panics. The override
+/// replaces the trait's `catch_unwind` wrapper, so the panic unwinds
+/// through the shard worker and kills it; later calls serve normally.
+struct DiesOnce {
+    inner: Probe,
+    armed: AtomicBool,
+}
+
+impl InferenceBackend for DiesOnce {
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.inner.infer(x)
+    }
+    fn num_classes(&self) -> usize {
+        self.inner.num_classes()
+    }
+    fn adds_per_sample(&self) -> u64 {
+        0
+    }
+    fn model_bytes(&self) -> usize {
+        0
+    }
+    fn infer_isolated(&self, x: &Tensor, max_batch: usize) -> IsolatedBatch {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected: the shard worker dies outside the fault isolation");
+        }
+        self.inner.infer_isolated(x, max_batch)
+    }
+}
+
+#[test]
+fn a_dead_shard_is_an_error_not_a_silent_ok() {
+    quiet_injected_panics();
+    let backend = DiesOnce { inner: Probe { classes: 8 }, armed: AtomicBool::new(true) };
+    let spec = ModelSpec::new(&backend, small_mfcc(), norm_mean(), norm_std());
+    let stream = healthy_stream(2);
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ShardedStreamServer::run(vec![spec], config(), ServeConfig::deterministic(2), |server| {
+            let a = server.try_open().unwrap();
+            let b = server.try_open().unwrap();
+            assert_eq!((server.shard_of(a), server.shard_of(b)), (0, 1));
+            // 3500 samples make 4 windows due on shard 0. Its flush is the
+            // first `infer_isolated` call, which kills its worker.
+            server.try_feed(a, &healthy_stream(1)[..3_500]).unwrap();
+            assert!(server.flush().is_empty(), "the dying shard served nothing");
+            let dead = ServeError::ShardUnavailable { shard: 0 };
+            // The snapshot barrier also waits until the worker has finished
+            // dying, so what follows is deterministic.
+            assert_eq!(server.shard_snapshots().unwrap_err(), dead);
+            assert_eq!(server.try_feed(a, &[0.0; 500]), Err(dead));
+            assert_eq!(server.try_open(), Err(dead), "session#2 would land on shard 0");
+            // The refused open spent its id, so the next one lands on shard 1,
+            // which keeps serving.
+            let c = server.try_open().unwrap();
+            assert_eq!(server.shard_of(c), 1);
+            server.try_feed(b, &stream).unwrap();
+            let got: Vec<Detection> = server.flush().into_iter().map(|d| d.detection).collect();
+            let mut det = StreamingDetector::with_mfcc(
+                &backend.inner,
+                config(),
+                small_mfcc(),
+                norm_mean(),
+                norm_std(),
+            );
+            let want = det.push(&stream);
+            assert!(!want.is_empty(), "vacuous: the healthy stream detects nothing");
+            assert_eq!(got, want, "shard 1 must serve as if shard 0 had never died");
+            // The read paths cover the live shard only: shard 0's 4 windows
+            // went down with it.
+            let stats = server.stats();
+            assert_eq!(stats.windows_fed, 15, "9000 samples make 15 windows due on shard 1");
+            assert_eq!(stats.windows_served, stats.windows_fed);
+            assert_eq!(server.shard_stats(0), None);
+            assert_eq!(server.shard_stats(1), Some(stats));
+        })
+    }));
+    let panic = run.expect_err("run must re-raise the dead worker's panic");
+    let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(msg.contains("injected"), "unexpected panic payload: {msg:?}");
 }

@@ -44,8 +44,9 @@ pub trait InferenceBackend {
     /// let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
     /// let mut model = LayerModel::new(Dense::new(4, 3, &mut rng));
     /// let backend = DenseBackend::new(&mut model, 3);
-    /// // `&self` inference: the same backend could serve any number of
-    /// // concurrent consumers.
+    /// // `&self` inference: consumers on one thread can share the backend.
+    /// // It keeps the model in a `RefCell`, so it is not `Sync` and cannot
+    /// // be shared across threads or server shards.
     /// let logits = backend.infer(&Tensor::zeros(&[2, 4]));
     /// assert_eq!(logits.dims(), &[2, backend.num_classes()]);
     /// ```

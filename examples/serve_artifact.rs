@@ -9,8 +9,9 @@
 //! 4. **Serve**: map the artifact back — at this point the training model
 //!    is dropped and nothing from the training stack is reconstructed. The
 //!    engine *borrows* its bitplanes zero-copy from the aligned v3 bytes,
-//!    and a `StreamServer` session streams audio through it via the
-//!    `InferenceBackend` trait.
+//!    and a `StreamingDetector` streams audio through it via the
+//!    `InferenceBackend` trait. (`examples/serve_sharded.rs` serves many
+//!    sessions at once.)
 //!
 //! Run with:
 //!
@@ -21,8 +22,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use thnt::core::{
-    AlignedBytes, HybridConfig, InferenceMeta, PackedStHybrid, StHybridNet, StreamServer,
-    StreamingConfig,
+    AlignedBytes, HybridConfig, InferenceMeta, PackedStHybrid, StHybridNet, StreamingConfig,
+    StreamingDetector,
 };
 use thnt::data::{synthesize_word, WordSignature, LABEL_NAMES};
 use thnt::dsp::MfccConfig;
@@ -81,7 +82,7 @@ fn main() {
     drop(engine);
 
     // ---- 4. Serve from the mapped artifact. -----------------------------
-    println!("[4/4] mapping the artifact and serving through a StreamServer...");
+    println!("[4/4] mapping the artifact and streaming through a detector...");
     // `AlignedBytes` stands in for an mmap'd file: the v3 container is
     // 8-byte aligned, so the engine borrows every bitplane straight out of
     // the buffer — N serving processes mapping the same file share one copy
@@ -91,25 +92,21 @@ fn main() {
     let meta = meta.expect("artifact carries serving metadata");
     assert!(backend.bitplanes_borrowed(), "aligned v3 artifacts load zero-copy");
     let config = StreamingConfig { threshold: 0.35, ..StreamingConfig::default() };
-    let mut server = StreamServer::from_meta(&backend, config, &meta);
+    let mut detector = StreamingDetector::from_meta(&backend, config, &meta);
     println!(
-        "      backend '{}' (bitplanes borrowed from the blob): {} classes, {} keyword \
-         targets, registry of {}",
+        "      backend '{}' (bitplanes borrowed from the blob): {} classes",
         backend.backend_name(),
         backend.num_classes(),
-        server.num_keywords(),
-        server.num_models(),
     );
 
-    // Stream a scripted sequence of utterances through one server session
-    // (`try_open` binds it to the default model of this one-model registry).
-    let session = server.try_open().expect("open session");
+    // Stream a scripted sequence of utterances through the detector.
     let script = [0usize, 5, 3, 9];
     let mut detections = Vec::new();
+    let mut samples = 0usize;
     for &class in &script {
         let audio = synthesize_word(&WordSignature::for_word(class), &mut rng);
-        server.try_feed(session, &audio).expect("feed open session");
-        detections.extend(server.tick());
+        samples += audio.len();
+        detections.extend(detector.push(&audio));
     }
     println!("      spoke {:?}", script.map(|c| LABEL_NAMES[c]));
     if detections.is_empty() {
@@ -118,10 +115,13 @@ fn main() {
     for d in &detections {
         println!(
             "      detected '{}' (p={:.2}) at sample {}",
-            LABEL_NAMES[d.detection.class], d.detection.confidence, d.detection.at_sample
+            LABEL_NAMES[d.class], d.confidence, d.at_sample
         );
     }
-    let stats = server.stats();
-    println!("      served {} windows in batched ticks", stats.windows_served);
+    println!(
+        "      streamed {:.1} s of audio, one inference every {} samples",
+        samples as f32 / meta.mfcc.sample_rate,
+        config.hop
+    );
     std::fs::remove_file(&artifact_path).ok();
 }

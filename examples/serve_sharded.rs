@@ -7,17 +7,18 @@
 //!    zero-copy from a mapped blob). Training is
 //!    `examples/serve_artifact.rs`'s story; here the subject is scaling.
 //! 2. Stand up a `ShardedStreamServer`: sessions pin to one of N worker
-//!    shards by `session_id % N`, each shard runs its own shard-local
-//!    `StreamServer` on a worker thread behind a bounded channel, and
-//!    **both models are shared across every shard by reference** — one
-//!    mapped artifact serves all threads with zero duplication.
+//!    shards by `session_id % N`, each shard runs its own shard engine on a
+//!    worker thread behind a bounded channel, and **both models are shared
+//!    across every shard by reference** — one mapped artifact serves all
+//!    threads with zero duplication.
 //! 3. Feed interleaved, unevenly-chunked synthetic speech. Full batches
 //!    flush at `max_batch`; partial batches flush once `flush_deadline`
 //!    elapses — no caller ever has to tick.
-//! 4. Prove the point of the design: the per-(shard × model) ledgers
-//!    reconcile exactly to every marginal, and each session's detections
-//!    are **byte-identical** to an independent single-stream detector —
-//!    sharding changes throughput, never results.
+//! 4. Prove the point of the design: every (shard × model) ledger cell
+//!    reconciles, and each session's detections are **byte-identical** to
+//!    an independent single-stream detector — sharding changes throughput,
+//!    never results. Failures are typed values: a closed session and an
+//!    unknown model come back as `ServeError`s, not panics.
 //!
 //! Run with (shard count also respects `THNT_SERVE_SHARDS`):
 //!
@@ -121,7 +122,7 @@ fn main() {
         })
         .collect();
 
-    let (detections, sessions, matrix, latency) =
+    let (detections, sessions, snapshots, latency) =
         ShardedStreamServer::run(models, config, serve, |server| {
             let spotter_id = server.default_model();
             let verifier_id = ModelId::new(1);
@@ -158,30 +159,43 @@ fn main() {
             detections.extend(server.flush());
 
             // ---- 4a. Per-shard view while the workers are still up. ------
-            for snap in server.shard_snapshots() {
+            let snapshots = server.shard_snapshots().expect("every shard is alive");
+            for snap in &snapshots {
                 let lat = snap.latency.summary();
                 println!(
                     "  shard {}: {} sessions · {} windows served · p50 {:>4} µs · p99 {:>4} µs",
                     snap.shard,
                     snap.sessions,
-                    snap.stats.windows_served,
+                    snap.stats().windows_served,
                     lat.p50_ns / 1_000,
                     lat.p99_ns / 1_000,
                 );
             }
-            (detections, sessions, server.stats_matrix(), server.latency())
+
+            // Failures are typed values, not panics: closed sessions and
+            // unknown model handles turn into `Err`s the caller can route
+            // per connection.
+            let (closed, _) = sessions[0];
+            server.close(closed);
+            let err = server.try_feed(closed, &[0.0; 4]).expect_err("closed sessions are refused");
+            println!("feeding a closed session: {err}");
+            let err =
+                server.try_open_model(ModelId::new(99)).expect_err("unknown model is refused");
+            println!("opening a session on an unregistered model: {err}");
+            (detections, sessions, snapshots, server.latency())
         });
 
-    // ---- 4b. The ledger lattice reconciles along every axis. -------------
-    let grand: u64 = matrix.iter().flatten().map(|s| s.windows_fed).sum();
-    let served: u64 = matrix.iter().flatten().map(|s| s.windows_served).sum();
-    assert_eq!(grand, served, "every fed window must be served after the final flush");
+    // ---- 4b. Every shard × model ledger cell reconciles. -----------------
+    let cells: Vec<_> = snapshots.iter().flat_map(|snap| &snap.per_model).collect();
+    for cell in &cells {
+        assert_eq!(cell.windows_fed, cell.windows_served, "the final flush serves every window");
+    }
+    let served: u64 = cells.iter().map(|s| s.windows_served).sum();
     assert_eq!(latency.count, served, "every served window must appear in the latency histogram");
     println!(
-        "ledger: {} windows fed == served across {} shard × model cells; \
+        "ledger: {served} windows fed == served across {} shard × model cells; \
          aggregate p50 {} µs, p99 {} µs",
-        grand,
-        matrix.len() * matrix.first().map_or(0, Vec::len),
+        cells.len(),
         latency.p50_ns / 1_000,
         latency.p99_ns / 1_000,
     );

@@ -9,11 +9,14 @@
 //!
 //! # Format
 //!
-//! A `.thnt2` file is a [`thnt_nn::SectionReader`]-style container (magic
-//! `THN2`, version, a tag/length section table, then payloads). Container
-//! version 3 additionally zero-pads the table and every payload to 8-byte
-//! file offsets so `u64` bitplane words can be *borrowed* in place by
-//! [`load_thnt2_ref`]. Sections:
+//! A `.thnt2` file is a [`thnt_nn::SectionWriter`] container (magic `THN2`,
+//! version, a tag/length section table, then payloads). The writer emits
+//! container version 3, which zero-pads the table and every payload to
+//! 8-byte file offsets so `u64` bitplane words can be *borrowed* in place
+//! by [`load_thnt2_ref`]; both loaders also read the unpadded v1 and v2
+//! containers of older writers. [`SaveOptions`] only chooses how the
+//! weight matrices are stored: inline bitplanes or run-length coded.
+//! Sections:
 //!
 //! ```text
 //! FRNT  the compiled front-end stack:
@@ -60,8 +63,8 @@
 //!
 //! Loading validates every structural invariant — word counts, padding
 //! bits, plane overlap, cross-field dimension consistency, layer-to-layer
-//! widths, finiteness, topology counts — and fails with `InvalidData` on
-//! the first violation.
+//! widths, finiteness, topology counts, and a `META` front-end the engine
+//! can serve — and fails with `InvalidData` on the first violation.
 //! Matching the checkpoint contract in `thnt_nn::io`: the failure mode is
 //! an error, never silent corruption. Unknown sections are skipped so later
 //! versions can add data without breaking this loader.
@@ -72,10 +75,14 @@
 //! [`load_thnt2_ref`] decodes straight from a byte slice and, for a v3
 //! container on a little-endian target whose buffer is 8-byte aligned
 //! (see [`AlignedBytes`]), borrows every inline bitplane from the input —
-//! no weight bytes are copied, so load cost is header validation plus
-//! invariant scans. When any of those conditions fails it transparently
-//! falls back to copying (`Cow::Owned`), so unaligned buffers and v2
-//! artifacts still load correctly.
+//! no bitplane byte is copied, so load cost is header validation plus
+//! invariant scans. `f32` and sign vectors are borrowed too where they sit
+//! at their natural alignment in the buffer (see
+//! [`PackedStHybrid::bitplanes_borrowed`]). When any of those conditions
+//! fails it transparently falls back to copying (`Cow::Owned`), so
+//! unaligned buffers and v2 artifacts still load correctly.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
@@ -114,6 +121,13 @@ const KIND_AFFINE: u8 = 3;
 const KIND_RELU: u8 = 4;
 const KIND_GAP: u8 = 5;
 
+/// Highest `META` sample rate a loader accepts, in Hz. One second of audio
+/// sizes every session's ring, so the rate bounds a per-session allocation.
+const MAX_SAMPLE_RATE: f32 = 48_000.0;
+/// Largest `META` FFT size a loader accepts. It bounds the FFT tables and,
+/// through `num_mel <= fft_size / 2 + 1`, the mel filterbank.
+const MAX_FFT_SIZE: usize = 4096;
+
 /// Serving metadata embedded alongside the packed weights so a detector can
 /// be stood up from the artifact alone: the MFCC front-end configuration
 /// and the per-coefficient normalization statistics of the training data.
@@ -128,68 +142,27 @@ pub struct InferenceMeta {
 }
 
 /// Encoding options for [`save_thnt2_with`] / [`save_quantized_thnt2_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Every artifact is an aligned v3 container; the default stores inline
+/// bitplanes ([`SaveOptions::v3`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SaveOptions {
-    /// `.thnt2` container version to write: 2 (legacy, unpadded layout) or
-    /// 3 (8-byte-aligned payloads, zero-copy loadable).
-    pub container_version: u32,
     /// Store ternary weight matrices run-length coded in an `RLEW` section
     /// instead of inline bitplanes. Smaller on disk (a zero weight costs one
     /// bit instead of two, and row padding bits are not stored), but the
     /// loader must decode to owned planes — mutually exclusive with
-    /// zero-copy borrowing. Requires `container_version >= 3`.
+    /// zero-copy borrowing.
     pub rle_weights: bool,
 }
 
-impl Default for SaveOptions {
-    /// Same as [`SaveOptions::from_env`].
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl SaveOptions {
-    /// Legacy v2 container: unpadded, inline bitplanes.
-    pub fn v2() -> Self {
-        Self { container_version: 2, rle_weights: false }
-    }
-
-    /// Aligned v3 container with inline bitplanes (zero-copy loadable).
+    /// Inline bitplanes (zero-copy loadable); the default.
     pub fn v3() -> Self {
-        Self { container_version: SECTION_ALIGNED_VERSION, rle_weights: false }
+        Self { rle_weights: false }
     }
 
-    /// Aligned v3 container with run-length-coded weights (smallest files).
+    /// Run-length-coded weights (smallest files).
     pub fn v3_rle() -> Self {
-        Self { container_version: SECTION_ALIGNED_VERSION, rle_weights: true }
-    }
-
-    /// Resolves the format from the `THNT_ARTIFACT_FORMAT` environment
-    /// variable: `v2`, `v3` or `v3-rle`. Unset or unrecognized values fall
-    /// back to `v3`, the default write format. CI uses this to run the
-    /// artifact and serve suites unchanged against every format.
-    pub fn from_env() -> Self {
-        match std::env::var("THNT_ARTIFACT_FORMAT").as_deref() {
-            Ok("v2") => Self::v2(),
-            Ok("v3-rle") => Self::v3_rle(),
-            _ => Self::v3(),
-        }
-    }
-
-    fn validate(self) -> io::Result<()> {
-        if !(2..=SECTION_ALIGNED_VERSION).contains(&self.container_version) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("unsupported .thnt2 container version {}", self.container_version),
-            ));
-        }
-        if self.rle_weights && self.container_version < SECTION_ALIGNED_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "RLE weights require a v3 container (the mode byte is a v3 field)",
-            ));
-        }
-        Ok(())
+        Self { rle_weights: true }
     }
 }
 
@@ -251,37 +224,34 @@ fn rle_encode(p: &PackedTernary) -> Vec<u8> {
     bytes
 }
 
-/// Version- and mode-aware section encoder. Holds the accumulated `RLEW`
-/// payload when weights are being run-length coded.
+/// Weight-section encoder: stores each packed matrix inline or, when
+/// weights are run-length coded, accumulates its blob for the `RLEW`
+/// payload.
 struct Enc {
-    version: u32,
     rle: Option<BytesMut>,
 }
 
 impl Enc {
-    fn new(opts: SaveOptions) -> io::Result<Self> {
-        opts.validate()?;
-        Ok(Self { version: opts.container_version, rle: opts.rle_weights.then(BytesMut::new) })
+    fn new(opts: SaveOptions) -> Self {
+        Self { rle: opts.rle_weights.then(BytesMut::new) }
     }
 
     fn put_packed(&mut self, buf: &mut BytesMut, p: &PackedTernary) {
         buf.put_u32_le(p.rows() as u32);
         buf.put_u32_le(p.cols() as u32);
-        if self.version >= SECTION_ALIGNED_VERSION {
-            if let Some(rle) = &mut self.rle {
-                buf.put_u8(MODE_RLE);
-                let blob = rle_encode(p);
-                rle.put_u32_le(blob.len() as u32);
-                rle.put_slice(&blob);
-                return;
-            }
-            buf.put_u8(MODE_INLINE);
-            // Pad to the next 8-byte *payload* offset; v3 payloads start on
-            // 8-byte file offsets, so the words land 8-byte aligned in the
-            // file and a zero-copy reader can borrow them in place.
-            while !buf.len().is_multiple_of(SECTION_ALIGN) {
-                buf.put_u8(0);
-            }
+        if let Some(rle) = &mut self.rle {
+            buf.put_u8(MODE_RLE);
+            let blob = rle_encode(p);
+            rle.put_u32_le(blob.len() as u32);
+            rle.put_slice(&blob);
+            return;
+        }
+        buf.put_u8(MODE_INLINE);
+        // Pad to the next 8-byte *payload* offset; v3 payloads start on
+        // 8-byte file offsets, so the words land 8-byte aligned in the file
+        // and a zero-copy reader can borrow them in place.
+        while !buf.len().is_multiple_of(SECTION_ALIGN) {
+            buf.put_u8(0);
         }
         for &w in p.plus_words() {
             buf.put_u64_le(w);
@@ -385,87 +355,55 @@ fn encode_schedule(schedule: &QuantSchedule) -> BytesMut {
     buf
 }
 
-/// Writes `engine` (and optionally `meta`) as a `.thnt2` artifact in the
-/// format selected by [`SaveOptions::from_env`] (v3 unless
-/// `THNT_ARTIFACT_FORMAT` overrides it).
+/// Writes `engine` (and optionally `meta`) as a `.thnt2` artifact.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
-pub fn save_thnt2<W: Write>(
-    engine: &PackedStHybrid,
-    meta: Option<&InferenceMeta>,
-    writer: W,
-) -> io::Result<()> {
-    save_thnt2_with(engine, meta, SaveOptions::default(), writer)
-}
-
-/// Writes `engine` (and optionally `meta`) as a `.thnt2` artifact in an
-/// explicitly chosen format.
-///
-/// # Errors
-///
-/// Returns `InvalidInput` for an unsupported option combination, or any
-/// I/O error from the writer.
 pub fn save_thnt2_with<W: Write>(
     engine: &PackedStHybrid,
     meta: Option<&InferenceMeta>,
     opts: SaveOptions,
     writer: W,
 ) -> io::Result<()> {
-    let mut enc = Enc::new(opts)?;
-    let mut sections = SectionWriter::with_version(opts.container_version);
-    *sections.section(TAG_FRONT) = enc.encode_front(&engine.front);
-    *sections.section(TAG_TREE) = enc.encode_tree(&engine.tree);
-    if let Some(m) = meta {
-        *sections.section(TAG_META) = encode_meta(m);
-    }
-    if let Some(rle) = enc.rle.take() {
-        *sections.section(TAG_RLE) = rle;
-    }
-    sections.write_to(writer)
+    write_artifact(engine, None, meta, opts, writer)
 }
 
 /// Writes a quantized engine as a `.thnt2` artifact: the packed weight
 /// sections plus a `QNT8` schedule section. [`load_thnt2`] reads the same
 /// bytes back as an f32 packed engine (ignoring the schedule);
-/// [`load_quantized_thnt2`] reconstructs the quantized engine. The format
-/// is selected by [`SaveOptions::from_env`].
+/// [`load_quantized_thnt2`] reconstructs the quantized engine.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
-pub fn save_quantized_thnt2<W: Write>(
-    engine: &QuantizedStHybrid,
-    meta: Option<&InferenceMeta>,
-    writer: W,
-) -> io::Result<()> {
-    save_quantized_thnt2_with(engine, meta, SaveOptions::default(), writer)
-}
-
-/// Writes a quantized engine as a `.thnt2` artifact in an explicitly
-/// chosen format.
-///
-/// # Errors
-///
-/// Returns `InvalidInput` for an unsupported option combination, or any
-/// I/O error from the writer.
 pub fn save_quantized_thnt2_with<W: Write>(
     engine: &QuantizedStHybrid,
     meta: Option<&InferenceMeta>,
     opts: SaveOptions,
     writer: W,
 ) -> io::Result<()> {
-    let base = engine.base();
-    let mut enc = Enc::new(opts)?;
-    let mut sections = SectionWriter::with_version(opts.container_version);
-    *sections.section(TAG_FRONT) = enc.encode_front(&base.front);
-    *sections.section(TAG_TREE) = enc.encode_tree(&base.tree);
-    *sections.section(TAG_QUANT) = encode_schedule(engine.schedule());
+    write_artifact(engine.base(), Some(engine.schedule()), meta, opts, writer)
+}
+
+fn write_artifact<W: Write>(
+    engine: &PackedStHybrid,
+    schedule: Option<&QuantSchedule>,
+    meta: Option<&InferenceMeta>,
+    opts: SaveOptions,
+    writer: W,
+) -> io::Result<()> {
+    let mut enc = Enc::new(opts);
+    let mut sections = SectionWriter::new();
+    *sections.section(TAG_FRONT) = enc.encode_front(&engine.front);
+    *sections.section(TAG_TREE) = enc.encode_tree(&engine.tree);
+    if let Some(s) = schedule {
+        *sections.section(TAG_QUANT) = encode_schedule(s);
+    }
     if let Some(m) = meta {
         *sections.section(TAG_META) = encode_meta(m);
     }
-    if let Some(rle) = enc.rle.take() {
+    if let Some(rle) = enc.rle {
         *sections.section(TAG_RLE) = rle;
     }
     sections.write_to(writer)
@@ -478,7 +416,7 @@ pub fn save_quantized_thnt2_with<W: Write>(
 
 /// Shared decode state threaded through the weight sections: the container
 /// version (selects the packed-matrix layout), whether bitplanes may alias
-/// the input buffer, and the `RLEW` blob stream for mode-1 matrices.
+/// the input buffer, and the `RLEW` section for mode-1 matrices.
 struct DecodeCtx<'a> {
     version: u32,
     /// Bitplane words may be borrowed from the buffer (v3 container,
@@ -486,52 +424,8 @@ struct DecodeCtx<'a> {
     /// checked per matrix; a misaligned buffer silently falls back to
     /// copying.
     borrow: bool,
-    rle: Option<RleStream<'a>>,
-}
-
-/// Sequential reader over the `RLEW` section: `byte_len u32 | bytes` per
-/// run-length-coded matrix, in decode order.
-struct RleStream<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> RleStream<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn next_blob(&mut self, what: &str) -> io::Result<&'a [u8]> {
-        let rem = self.buf.len() - self.pos;
-        if rem < 4 {
-            return Err(invalid_data(format!(
-                "RLEW section exhausted reading blob header for {what}"
-            )));
-        }
-        let len =
-            u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().expect("4-byte slice"))
-                as usize;
-        self.pos += 4;
-        if self.buf.len() - self.pos < len {
-            return Err(invalid_data(format!(
-                "RLEW section truncated: blob for {what} needs {len} bytes, have {}",
-                self.buf.len() - self.pos
-            )));
-        }
-        let blob = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(blob)
-    }
-
-    fn finish(self) -> io::Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(invalid_data(format!(
-                "RLEW section has {} unconsumed bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+    /// `byte_len u32 | bytes` per run-length-coded matrix, in decode order.
+    rle: Option<Cursor<'a>>,
 }
 
 /// Decodes one RLE blob back into bitplanes for a `rows x cols` matrix.
@@ -609,24 +503,33 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    #[inline]
-    fn need(&self, bytes: usize, what: &str) -> io::Result<()> {
-        if self.remaining() < bytes {
-            return Err(invalid_data(format!(
-                "{} section truncated reading {what}: need {bytes} bytes, have {}",
-                self.section,
-                self.remaining()
-            )));
-        }
-        Ok(())
+    #[cold]
+    fn truncated(&self, bytes: usize, what: &str) -> io::Error {
+        invalid_data(format!(
+            "{} section truncated reading {what}: need {bytes} bytes, have {}",
+            self.section,
+            self.remaining()
+        ))
     }
 
     #[inline]
     fn take(&mut self, bytes: usize, what: &str) -> io::Result<&'a [u8]> {
-        self.need(bytes, what)?;
+        if self.remaining() < bytes {
+            return Err(self.truncated(bytes, what));
+        }
         let s = &self.buf[self.pos..self.pos + bytes];
         self.pos += bytes;
         Ok(s)
+    }
+
+    /// The next `N` bytes as an array.
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+        let Some((head, _)) = self.buf[self.pos..].split_first_chunk::<N>() else {
+            return Err(self.truncated(N, what));
+        };
+        self.pos += N;
+        Ok(*head)
     }
 
     #[inline]
@@ -636,11 +539,11 @@ impl<'a> Cursor<'a> {
 
     #[inline]
     fn u32(&mut self, what: &str) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4-byte slice")))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn f32(&mut self, what: &str) -> io::Result<f32> {
-        let v = f32::from_le_bytes(self.take(4, what)?.try_into().expect("4-byte slice"));
+        let v = f32::from_le_bytes(self.array(what)?);
         if !v.is_finite() {
             return Err(invalid_data(format!("{}: non-finite {what}", self.section)));
         }
@@ -651,28 +554,13 @@ impl<'a> Cursor<'a> {
         Ok(self.f32_cow(false, what)?.into_owned())
     }
 
-    /// Reads a length-prefixed `f32` run, validated finite: borrowed
-    /// straight from the payload when the decode context allows aliasing
-    /// and the slice is 4-byte aligned in memory, copied otherwise.
+    /// Reads a length-prefixed `f32` run: borrowed straight from the
+    /// payload when the decode context allows aliasing and the slice is
+    /// 4-byte aligned in memory, copied otherwise.
     #[inline]
     fn f32_cow(&mut self, borrow: bool, what: &str) -> io::Result<Cow<'a, [f32]>> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(4 * len, what)?;
-        // Content scan: owning loads validate every value; borrowing loads
-        // treat the mapped artifact as trusted and skip the O(model) scan —
-        // any bit pattern is a valid f32, so this trades error reporting
-        // (never safety) for cold-start speed.
-        if !borrow {
-            for chunk in bytes.chunks_exact(4) {
-                let v = f32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-                if !v.is_finite() {
-                    return Err(invalid_data(format!(
-                        "{}: non-finite entry in {what}",
-                        self.section
-                    )));
-                }
-            }
-        }
         if borrow && cfg!(target_endian = "little") && (bytes.as_ptr() as usize).is_multiple_of(4) {
             // SAFETY: the slice is 4-byte aligned (checked above), its
             // length is an exact multiple of 4, and every bit pattern is a
@@ -682,10 +570,14 @@ impl<'a> Cursor<'a> {
             debug_assert!(head.is_empty() && tail.is_empty() && mid.len() == len);
             return Ok(Cow::Borrowed(mid));
         }
-        let mut out = Vec::with_capacity(len);
-        for chunk in bytes.chunks_exact(4) {
-            out.push(f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
-        }
+        // Content scan: owning loads validate every value; borrowing loads
+        // treat the mapped artifact as trusted and skip the O(model) scan —
+        // any bit pattern is a valid f32, so this trades error reporting
+        // (never safety) for cold-start speed.
+        let mut vals = Cursor::new(bytes, self.section);
+        let out = (0..len)
+            .map(|_| if borrow { vals.array(what).map(f32::from_le_bytes) } else { vals.f32(what) })
+            .collect::<io::Result<Vec<f32>>>()?;
         Ok(Cow::Owned(out))
     }
 
@@ -751,10 +643,10 @@ impl<'a> Cursor<'a> {
             debug_assert!(head.is_empty() && tail.is_empty() && mid.len() == words);
             return Ok(Cow::Borrowed(mid));
         }
-        let mut out = Vec::with_capacity(words);
-        for chunk in bytes.chunks_exact(8) {
-            out.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
+        let mut words_cur = Cursor::new(bytes, self.section);
+        let out = (0..words)
+            .map(|_| words_cur.array(what).map(u64::from_le_bytes))
+            .collect::<io::Result<Vec<u64>>>()?;
         Ok(Cow::Owned(out))
     }
 
@@ -790,7 +682,8 @@ impl<'a> Cursor<'a> {
                             self.section
                         ))
                     })?;
-                    let blob = stream.next_blob(what)?;
+                    let len = stream.u32(what)? as usize;
+                    let blob = stream.take(len, what)?;
                     let (p, m) = rle_decode(blob, rows, cols, what)?;
                     (Cow::Owned(p), Cow::Owned(m))
                 }
@@ -1045,16 +938,32 @@ fn decode_meta(buf: &[u8]) -> io::Result<InferenceMeta> {
     if mfcc.sample_rate <= 0.0 || mfcc.frame_len == 0 || mfcc.hop == 0 {
         return Err(invalid_data("META: MFCC geometry must be positive"));
     }
+    // The fields also size allocations — one second of audio per session
+    // ring, the FFT tables, the mel filterbank — so a corrupt value must not
+    // ask for terabytes.
+    if mfcc.sample_rate > MAX_SAMPLE_RATE || mfcc.fft_size > MAX_FFT_SIZE {
+        return Err(invalid_data(format!(
+            "META: sample rate {} Hz / fft_size {} exceed the {MAX_SAMPLE_RATE} Hz / \
+             {MAX_FFT_SIZE} caps",
+            mfcc.sample_rate, mfcc.fft_size
+        )));
+    }
     if !mfcc.fft_size.is_power_of_two() || mfcc.fft_size < mfcc.frame_len {
         return Err(invalid_data(format!(
             "META: fft_size {} must be a power of two >= frame_len {}",
             mfcc.fft_size, mfcc.frame_len
         )));
     }
-    if mfcc.num_mel == 0 || mfcc.num_coeffs == 0 || mfcc.num_coeffs > mfcc.num_mel {
+    if mfcc.num_mel == 0
+        || mfcc.num_coeffs == 0
+        || mfcc.num_coeffs > mfcc.num_mel
+        || mfcc.num_mel > mfcc.fft_size / 2 + 1
+    {
         return Err(invalid_data(format!(
-            "META: need 0 < num_coeffs ({}) <= num_mel ({})",
-            mfcc.num_coeffs, mfcc.num_mel
+            "META: need 0 < num_coeffs ({}) <= num_mel ({}) <= fft_size / 2 + 1 ({})",
+            mfcc.num_coeffs,
+            mfcc.num_mel,
+            mfcc.fft_size / 2 + 1
         )));
     }
     if !(mfcc.f_lo < mfcc.f_hi && mfcc.f_hi <= mfcc.sample_rate / 2.0) {
@@ -1066,14 +975,29 @@ fn decode_meta(buf: &[u8]) -> io::Result<InferenceMeta> {
     Ok(InferenceMeta { mfcc, norm_mean, norm_std })
 }
 
+/// `spec.out_dims(h, w)`, or `None` where that would panic: a kernel
+/// larger than the padded input.
+fn checked_out_dims(spec: &Conv2dSpec, (h, w): (usize, usize)) -> Option<(usize, usize)> {
+    let fits = h.saturating_add(spec.pad_top + spec.pad_bottom) >= spec.kh
+        && w.saturating_add(spec.pad_left + spec.pad_right) >= spec.kw;
+    fits.then(|| spec.out_dims(h, w))
+}
+
 /// Checks that the decoded layers chain: each takes the channel width and
 /// the rank its predecessor gives, from the one-channel MFCC image through
-/// the pool to the tree's projection. Each layer's own geometry is checked
-/// while decoding; a broken chain would load and then panic on the first
-/// inference.
-fn check_chain(front: &PackedStStack<'_>, tree: &PackedBonsai<'_>) -> io::Result<()> {
+/// the pool to the tree's projection — and, when `meta` fixes the image's
+/// `[frames, coeffs]` size, that every conv and depthwise kernel fits the
+/// padded map it gets. Each layer's own geometry is checked while decoding;
+/// a broken chain would load and then panic on the first inference.
+fn check_chain(
+    front: &PackedStStack<'_>,
+    tree: &PackedBonsai<'_>,
+    meta: Option<&InferenceMeta>,
+) -> io::Result<()> {
     // `[n, width, h, w]` until the pool, `[n, width]` after it.
     let (mut width, mut pooled) = (1usize, false);
+    let mut dims =
+        meta.map(|m| (m.mfcc.num_frames(m.mfcc.sample_rate as usize), m.mfcc.num_coeffs));
     for (i, layer) in front.layers.iter().enumerate() {
         // (width taken, pooled input required / forbidden / either, given)
         let (takes, wants_pooled, gives) = match layer {
@@ -1092,6 +1016,20 @@ fn check_chain(front: &PackedStStack<'_>, tree: &PackedBonsai<'_>) -> io::Result
                 if pooled { "features" } else { "image" }
             )));
         }
+        if let (
+            PackedLayer::Conv(PackedConv2d { spec, .. })
+            | PackedLayer::Depthwise(PackedDepthwise2d { spec, .. }),
+            Some(hw),
+        ) = (layer, dims)
+        {
+            dims = Some(checked_out_dims(spec, hw).ok_or_else(|| {
+                invalid_data(format!(
+                    "FRNT: layer {i}: {}x{} kernel exceeds the padded {}x{} map the META \
+                     front-end gives",
+                    spec.kh, spec.kw, hw.0, hw.1
+                ))
+            })?);
+        }
         width = gives;
         pooled |= matches!(layer, PackedLayer::GlobalAvgPool);
     }
@@ -1105,13 +1043,13 @@ fn check_chain(front: &PackedStStack<'_>, tree: &PackedBonsai<'_>) -> io::Result
     Ok(())
 }
 
-/// Decodes a whole artifact from a byte slice. `allow_borrow` selects the
-/// zero-copy path ([`load_thnt2_ref`]) vs. forced copies ([`load_thnt2`]).
-fn decode_artifact(
-    bytes: &[u8],
+/// Decodes the engine and its metadata out of a parsed container.
+/// `allow_borrow` selects the zero-copy path ([`load_thnt2_ref`]) vs.
+/// forced copies ([`load_thnt2`]).
+fn decode_artifact<'a>(
+    sections: &mut SectionReaderRef<'a>,
     allow_borrow: bool,
-) -> io::Result<(PackedStHybrid<'_>, Option<InferenceMeta>)> {
-    let mut sections = SectionReaderRef::parse(bytes)?;
+) -> io::Result<(PackedStHybrid<'a>, Option<InferenceMeta>)> {
     let version = sections.version();
     let front = sections
         .take(TAG_FRONT)
@@ -1120,17 +1058,17 @@ fn decode_artifact(
         .take(TAG_TREE)
         .ok_or_else(|| invalid_data("artifact is missing the TREE section"))?;
     let rle = sections.take(TAG_RLE);
-    let meta = sections.take(TAG_META).map(|s| decode_meta(s.bytes)).transpose()?;
+    let meta = sections.take(TAG_META).map(decode_meta).transpose()?;
     // Any other section is from a newer writer; ignoring it cannot corrupt
     // the engine because all required data is self-contained above.
     let mut ctx = DecodeCtx {
         version,
         borrow: allow_borrow && version >= SECTION_ALIGNED_VERSION,
-        rle: rle.map(|s| RleStream::new(s.bytes)),
+        rle: rle.map(|s| Cursor::new(s, "RLEW")),
     };
-    let front = decode_front(front.bytes, &mut ctx)?;
-    let tree = decode_tree(tree.bytes, &mut ctx)?;
-    check_chain(&front, &tree)?;
+    let front = decode_front(front, &mut ctx)?;
+    let tree = decode_tree(tree, &mut ctx)?;
+    check_chain(&front, &tree, meta.as_ref())?;
     if let Some(stream) = ctx.rle {
         stream.finish()?;
     }
@@ -1152,7 +1090,7 @@ pub fn load_thnt2<R: Read>(
 ) -> io::Result<(PackedStHybrid<'static>, Option<InferenceMeta>)> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
-    let (engine, meta) = decode_artifact(&raw, false)?;
+    let (engine, meta) = decode_artifact(&mut SectionReaderRef::parse(&raw)?, false)?;
     Ok((engine.into_owned(), meta))
 }
 
@@ -1187,7 +1125,7 @@ pub fn load_thnt2<R: Read>(
 ///
 /// Returns `InvalidData` on any malformed artifact.
 pub fn load_thnt2_ref(bytes: &[u8]) -> io::Result<(PackedStHybrid<'_>, Option<InferenceMeta>)> {
-    decode_artifact(bytes, true)
+    decode_artifact(&mut SectionReaderRef::parse(bytes)?, true)
 }
 
 fn decode_schedule(buf: &[u8]) -> io::Result<QuantSchedule> {
@@ -1237,10 +1175,9 @@ pub fn load_quantized_thnt2<R: Read>(
     let mut sections = SectionReaderRef::parse(&raw)?;
     let quant = sections
         .take(TAG_QUANT)
-        .ok_or_else(|| invalid_data("artifact is missing the QNT8 section"))?
-        .bytes;
+        .ok_or_else(|| invalid_data("artifact is missing the QNT8 section"))?;
     let schedule = decode_schedule(quant)?;
-    let (engine, meta) = decode_artifact(&raw, false)?;
+    let (engine, meta) = decode_artifact(&mut sections, false)?;
     let quantized = QuantizedStHybrid::compile(&engine.into_owned(), schedule)
         .map_err(|e| invalid_data(format!("QNT8: {e}")))?;
     Ok((quantized, meta))
@@ -1295,11 +1232,13 @@ impl std::ops::Deref for AlignedBytes {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::config::HybridConfig;
     use crate::engine::PackedStHybrid;
     use crate::st_hybrid::StHybridNet;
+    use crate::streaming::{StreamingConfig, StreamingDetector};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use thnt_nn::Model;
@@ -1377,7 +1316,7 @@ mod tests {
     #[test]
     fn unknown_sections_are_skipped() {
         let (_, engine) = tiny_engine(4);
-        let mut enc = Enc::new(SaveOptions::v3()).unwrap();
+        let mut enc = Enc::new(SaveOptions::v3());
         let mut sections = SectionWriter::new();
         sections.section(*b"XTRA").put_u32_le(42);
         *sections.section(TAG_FRONT) = enc.encode_front(&engine.front);
@@ -1451,6 +1390,64 @@ mod tests {
         }
     }
 
+    /// META fields size allocations (the session ring, the FFT and mel
+    /// tables) and the feature map the front end gets. Both loaders refuse
+    /// a META that would abort the process on a terabyte allocation or
+    /// panic on the first window; whatever they accept from a flipped
+    /// `sample_rate` or `num_mel` bit serves one window.
+    #[test]
+    fn meta_that_would_abort_or_panic_the_front_end_is_rejected_at_load() {
+        let (_, engine) = tiny_engine(25);
+        let paper = MfccConfig::paper();
+        let save = |mfcc: MfccConfig| {
+            let coeffs = mfcc.num_coeffs;
+            let meta =
+                InferenceMeta { mfcc, norm_mean: vec![0.25; coeffs], norm_std: vec![1.5; coeffs] };
+            let mut blob = Vec::new();
+            engine.save(Some(&meta), &mut blob).unwrap();
+            blob
+        };
+        let flip = |v: f32, bit: u32| f32::from_bits(v.to_bits() ^ (1 << bit));
+        for (what, mfcc) in [
+            ("a 6.9e13 Hz ring", MfccConfig { sample_rate: flip(paper.sample_rate, 28), ..paper }),
+            ("2^30 + 40 mel filters", MfccConfig { num_mel: paper.num_mel ^ (1 << 30), ..paper }),
+            ("no frame in the window", MfccConfig { frame_len: 32_768, fft_size: 32_768, ..paper }),
+            ("a map narrower than the first kernel", MfccConfig { num_coeffs: 1, ..paper }),
+        ] {
+            let blob = save(mfcc);
+            let aligned = AlignedBytes::from_slice(&blob);
+            let owned = load_thnt2(blob.as_slice()).map(|_| ());
+            let borrowed = load_thnt2_ref(&aligned).map(|_| ());
+            for (loader, result) in [("owning", owned), ("borrowed", borrowed)] {
+                let kind = result.map_err(|e| e.kind());
+                assert_eq!(kind, Err(io::ErrorKind::InvalidData), "{what}: {loader} load");
+            }
+        }
+        // Flips that loaded, per field.
+        let mut served = [("sample_rate", 0usize), ("num_mel", 0)];
+        for bit in 0..32 {
+            let flipped = [
+                MfccConfig { sample_rate: flip(paper.sample_rate, bit), ..paper },
+                MfccConfig { num_mel: paper.num_mel ^ (1 << bit), ..paper },
+            ];
+            for ((field, count), mfcc) in served.iter_mut().zip(flipped) {
+                let blob = save(mfcc);
+                let aligned = AlignedBytes::from_slice(&blob);
+                for loaded in [load_thnt2(blob.as_slice()), load_thnt2_ref(&aligned)] {
+                    let Ok((engine, Some(meta))) = loaded else { continue };
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let config = StreamingConfig::default();
+                        let mut detector = StreamingDetector::from_meta(&engine, config, &meta);
+                        detector.push(&vec![0.1; meta.mfcc.sample_rate as usize]);
+                    }));
+                    assert!(outcome.is_ok(), "{field} bit {bit}: an accepted META panicked");
+                    *count += 1;
+                }
+            }
+        }
+        assert!(served.iter().all(|&(_, n)| n > 0), "a field never loaded: {served:?}");
+    }
+
     fn tiny_quantized(seed: u64) -> QuantizedStHybrid {
         let (_, engine) = tiny_engine(seed);
         let calib = thnt_tensor::Tensor::from_vec(
@@ -1505,7 +1502,7 @@ mod tests {
         let base = quantized.base();
         let mut bad = quantized.schedule().clone();
         bad.front.pop();
-        let mut enc = Enc::new(SaveOptions::v3()).unwrap();
+        let mut enc = Enc::new(SaveOptions::v3());
         let mut sections = SectionWriter::new();
         *sections.section(TAG_FRONT) = enc.encode_front(&base.front);
         *sections.section(TAG_TREE) = enc.encode_tree(&base.tree);
@@ -1522,7 +1519,7 @@ mod tests {
         let base = quantized.base();
         let mut bad = quantized.schedule().clone();
         bad.zhat_scale = 0.0;
-        let mut enc = Enc::new(SaveOptions::v3()).unwrap();
+        let mut enc = Enc::new(SaveOptions::v3());
         let mut sections = SectionWriter::new();
         *sections.section(TAG_FRONT) = enc.encode_front(&base.front);
         *sections.section(TAG_TREE) = enc.encode_tree(&base.tree);
@@ -1620,30 +1617,28 @@ mod tests {
         assert!(err.to_string().contains("padding"), "{err}");
     }
 
-    #[test]
-    fn save_options_validate_their_combinations() {
-        assert!(save_thnt2_with(
-            &tiny_engine(20).1,
-            None,
-            SaveOptions { container_version: 4, rle_weights: false },
-            &mut Vec::new(),
-        )
-        .is_err());
-        assert!(save_thnt2_with(
-            &tiny_engine(20).1,
-            None,
-            SaveOptions { container_version: 2, rle_weights: true },
-            &mut Vec::new(),
-        )
-        .is_err());
-    }
+    /// The committed golden blobs of `tests/artifact_properties.rs`, written by the
+    /// retired v2 writer and its v3 peer from the same engines.
+    const PACKED_V2: &[u8] = include_bytes!("../tests/data/packed_v2.thnt2");
+    const PACKED_V3: &[u8] = include_bytes!("../tests/data/packed_v3.thnt2");
+    const QUANTIZED_V2: &[u8] = include_bytes!("../tests/data/quantized_v2.thnt2");
+    const QUANTIZED_V3: &[u8] = include_bytes!("../tests/data/quantized_v3.thnt2");
 
-    /// Every write format round-trips bitwise; the quantized container too.
+    /// Both write formats round-trip bitwise, the quantized container too,
+    /// and v2 blobs read back to the engines of their v3 peers.
     #[test]
     fn all_formats_roundtrip() {
+        let (v2, v2_meta) = load_thnt2(PACKED_V2).unwrap();
+        let (v3, v3_meta) = load_thnt2(PACKED_V3).unwrap();
+        assert_eq!((v2, v2_meta), (v3, v3_meta));
+        assert_eq!(
+            load_quantized_thnt2(QUANTIZED_V2).unwrap(),
+            load_quantized_thnt2(QUANTIZED_V3).unwrap()
+        );
+
         let (_, engine) = tiny_engine(21);
         let quantized = tiny_quantized(21);
-        for opts in [SaveOptions::v2(), SaveOptions::v3(), SaveOptions::v3_rle()] {
+        for opts in [SaveOptions::v3(), SaveOptions::v3_rle()] {
             let mut blob = Vec::new();
             save_thnt2_with(&engine, Some(&paper_meta()), opts, &mut blob).unwrap();
             let (reloaded, meta) = PackedStHybrid::load(blob.as_slice()).unwrap();
@@ -1658,7 +1653,8 @@ mod tests {
     }
 
     /// A zero-copy load of an aligned v3 artifact borrows **every**
-    /// bitplane from the buffer; v3-rle and v2 decode to owned planes; a
+    /// bitplane from the buffer, and every conv and dense `â`/bias and
+    /// depthwise sign vector; v3-rle and v2 decode to owned planes; a
     /// deliberately misaligned buffer still loads correctly, just owned.
     #[test]
     fn zero_copy_load_borrows_exactly_when_aligned_v3_inline() {
@@ -1669,6 +1665,22 @@ mod tests {
         let (borrowed, _) = load_thnt2_ref(&aligned).unwrap();
         assert!(borrowed.bitplanes_borrowed(), "aligned v3 inline must not copy planes");
         assert_eq!(borrowed, engine);
+        let lent = |v: &Cow<'_, [f32]>| matches!(v, Cow::Borrowed(_));
+        let dense_lent = |d: &PackedDense<'_>| lent(&d.a_hat) && lent(&d.bias);
+        for (i, layer) in borrowed.front.layers.iter().enumerate() {
+            let payloads_lent = match layer {
+                PackedLayer::Conv(c) => lent(&c.a_hat) && lent(&c.bias),
+                PackedLayer::Dense(d) => dense_lent(d),
+                PackedLayer::Depthwise(d) => {
+                    matches!((&d.wb_signs, &d.wc_signs), (Cow::Borrowed(_), Cow::Borrowed(_)))
+                }
+                _ => true,
+            };
+            assert!(payloads_lent, "layer {i}: aligned v3 inline copied a payload");
+        }
+        let tree = &borrowed.tree;
+        let mut nodes = std::iter::once(&tree.z).chain(&tree.theta).chain(&tree.w).chain(&tree.v);
+        assert!(nodes.all(dense_lent), "tree â/bias must be borrowed");
 
         // Shift the same bytes off 8-byte alignment: the loader falls back
         // to copying, bit-for-bit identically.
@@ -1679,14 +1691,17 @@ mod tests {
         assert!(!owned.bitplanes_borrowed());
         assert_eq!(owned, engine);
 
-        for opts in [SaveOptions::v2(), SaveOptions::v3_rle()] {
-            let mut blob = Vec::new();
-            save_thnt2_with(&engine, None, opts, &mut blob).unwrap();
-            let aligned = AlignedBytes::from_slice(&blob);
-            let (reloaded, _) = load_thnt2_ref(&aligned).unwrap();
-            assert!(!reloaded.bitplanes_borrowed(), "{opts:?} cannot borrow");
-            assert_eq!(reloaded, engine, "{opts:?}");
-        }
+        let mut rle = Vec::new();
+        save_thnt2_with(&engine, None, SaveOptions::v3_rle(), &mut rle).unwrap();
+        let aligned = AlignedBytes::from_slice(&rle);
+        let (reloaded, _) = load_thnt2_ref(&aligned).unwrap();
+        assert!(!reloaded.bitplanes_borrowed(), "v3-rle cannot borrow");
+        assert_eq!(reloaded, engine);
+
+        let aligned = AlignedBytes::from_slice(PACKED_V2);
+        let (reloaded, _) = load_thnt2_ref(&aligned).unwrap();
+        assert!(!reloaded.bitplanes_borrowed(), "v2 cannot borrow");
+        assert_eq!(reloaded, load_thnt2(PACKED_V3).unwrap().0);
     }
 
     /// The borrowed load skips the O(words) plane scans, but a set padding

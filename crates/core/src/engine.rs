@@ -764,7 +764,12 @@ impl<'a> PackedStHybrid<'a> {
         meta: Option<&crate::artifact::InferenceMeta>,
         writer: W,
     ) -> std::io::Result<()> {
-        crate::artifact::save_thnt2(self, meta, writer)
+        crate::artifact::save_thnt2_with(
+            self,
+            meta,
+            crate::artifact::SaveOptions::default(),
+            writer,
+        )
     }
 
     /// Reconstructs a packed engine (and any embedded metadata) from a
@@ -833,8 +838,11 @@ impl<'a> PackedStHybrid<'a> {
     /// words from an external buffer — i.e. the engine came out of a
     /// zero-copy [`Self::load_ref`] on an aligned buffer and no plane was
     /// copied. A compiled or [`Self::into_owned`]-converted engine returns
-    /// `false`. (Depthwise sign vectors and `f32` vectors are always owned
-    /// and not counted.)
+    /// `false`. Only bitplanes are counted. The same load also borrows every
+    /// sign vector and every `f32` vector that sits 4-byte aligned in the
+    /// buffer: each conv and dense `â`/bias. A depthwise layer's `â`/bias
+    /// follow one-byte layer kinds and byte-granular sign vectors, land off
+    /// 4-byte alignment in the compiled nets, and are copied.
     pub fn bitplanes_borrowed(&self) -> bool {
         let dense_borrowed = |d: &PackedDense<'_>| d.wb.is_borrowed() && d.wc.is_borrowed();
         self.front.layers.iter().all(|l| match l {

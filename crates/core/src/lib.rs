@@ -66,8 +66,7 @@ pub mod streaming;
 pub mod train;
 
 pub use artifact::{
-    load_thnt2, load_thnt2_ref, save_thnt2, save_thnt2_with, AlignedBytes, InferenceMeta,
-    SaveOptions,
+    load_thnt2, load_thnt2_ref, save_thnt2_with, AlignedBytes, InferenceMeta, SaveOptions,
 };
 pub use config::HybridConfig;
 pub use describe::describe_hybrid;

@@ -689,7 +689,12 @@ impl QuantizedStHybrid {
         meta: Option<&crate::artifact::InferenceMeta>,
         writer: W,
     ) -> std::io::Result<()> {
-        crate::artifact::save_quantized_thnt2(self, meta, writer)
+        crate::artifact::save_quantized_thnt2_with(
+            self,
+            meta,
+            crate::artifact::SaveOptions::default(),
+            writer,
+        )
     }
 
     /// Reconstructs a quantized engine from a `.thnt2` artifact carrying a

@@ -5,14 +5,56 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use thnt_core::artifact::save_quantized_thnt2_with;
 use thnt_core::{
-    AlignedBytes, HybridConfig, InferenceMeta, PackedStHybrid, QuantizedStHybrid, SaveOptions,
-    StHybridNet,
+    save_thnt2_with, AlignedBytes, HybridConfig, InferenceMeta, PackedStHybrid, QuantizedStHybrid,
+    SaveOptions, StHybridNet,
 };
 use thnt_dsp::MfccConfig;
 use thnt_nn::Model;
 use thnt_quant::CalibrationMethod;
 use thnt_strassen::{PackedTernary, StLayer, Strassenified};
+use thnt_tensor::Tensor;
+
+/// Golden artifacts, written by the writer of commit 224f758 (the last one
+/// with a v2 container path) from `frozen_engine(6, 6, 1)` — seed 6,
+/// `HybridConfig { ds_blocks: 1, width: 6, proj_dim: 6, tree_depth: 1,
+/// ..HybridConfig::paper() }` — and its `quantized_engine(6, 6, 1)`, each
+/// saved with `golden_meta()`: the packed engine as v2, v3 and v3-rle, the
+/// quantized one as v2 and v3. The v2 blobs keep the v2 reader under test
+/// now that nothing writes v2; the v3 blobs pin the writer's bytes.
+const PACKED_V2: &[u8] = include_bytes!("data/packed_v2.thnt2");
+const PACKED_V3: &[u8] = include_bytes!("data/packed_v3.thnt2");
+const PACKED_V3_RLE: &[u8] = include_bytes!("data/packed_v3_rle.thnt2");
+const QUANTIZED_V2: &[u8] = include_bytes!("data/quantized_v2.thnt2");
+const QUANTIZED_V3: &[u8] = include_bytes!("data/quantized_v3.thnt2");
+
+/// The serving metadata every golden artifact carries.
+fn golden_meta() -> InferenceMeta {
+    InferenceMeta { mfcc: MfccConfig::paper(), norm_mean: vec![0.1; 10], norm_std: vec![2.0; 10] }
+}
+
+/// One blob per container format: each write format through `save`, then
+/// the committed `v2` golden, since the writer no longer emits v2.
+fn format_blobs(
+    save: impl Fn(SaveOptions, &mut Vec<u8>) -> std::io::Result<()>,
+    v2: &[u8],
+) -> Vec<(&'static str, Vec<u8>)> {
+    let mut blobs: Vec<_> = [("v3", SaveOptions::v3()), ("v3-rle", SaveOptions::v3_rle())]
+        .into_iter()
+        .map(|(format, opts)| {
+            let mut blob = Vec::new();
+            save(opts, &mut blob).unwrap();
+            (format, blob)
+        })
+        .collect();
+    blobs.push(("v2 golden", v2.to_vec()));
+    blobs
+}
+
+fn logit_bits(logits: &Tensor) -> Vec<u32> {
+    logits.data().iter().map(|v| v.to_bits()).collect()
+}
 
 fn frozen_engine(
     seed: u64,
@@ -88,15 +130,14 @@ proptest! {
         prop_assert!(err.is_err(), "truncation at {cut}/{} must fail", blob.len());
     }
 
-    /// Corrupting the container header (magic or version) must be rejected.
+    /// Corrupting the container header (magic or version) must be rejected
+    /// in every format.
     #[test]
-    fn corrupted_headers_are_rejected(byte in 0usize..8, bit in 0u32..8) {
-        let (_, engine) = frozen_engine(8, 6, 1);
-        let mut blob = Vec::new();
-        engine.save(None, &mut blob).unwrap();
+    fn corrupted_headers_are_rejected(byte in 0usize..8, bit in 0u32..8, format in 0usize..3) {
+        let (name, mut blob) = all_format_blobs(8).swap_remove(format);
         blob[byte] ^= 1 << bit;
         let err = PackedStHybrid::load(blob.as_slice());
-        prop_assert!(err.is_err(), "header corruption at byte {byte} bit {bit} must fail");
+        prop_assert!(err.is_err(), "{name}: header corruption at byte {byte} bit {bit} must fail");
     }
 
     /// Random garbage never loads.
@@ -191,11 +232,19 @@ fn quantized_engine(seed: u64, width: usize, tree_depth: usize) -> QuantizedStHy
     QuantizedStHybrid::calibrate_and_compile(&engine, &calib, CalibrationMethod::default()).unwrap()
 }
 
+/// Every container format of `quantized_engine(seed, width, 1)`: both write
+/// formats and the quantized v2 golden.
+fn quantized_format_blobs(seed: u64, width: usize) -> Vec<(&'static str, Vec<u8>)> {
+    let quantized = quantized_engine(seed, width, 1);
+    let save = |opts, blob: &mut Vec<u8>| save_quantized_thnt2_with(&quantized, None, opts, blob);
+    format_blobs(save, QUANTIZED_V2)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The quantized artifact round-trips bitwise-lossless: packed weights
-    /// AND every calibrated scale.
+    /// The quantized artifact round-trips bitwise-lossless in both write
+    /// formats: packed weights AND every calibrated scale.
     #[test]
     fn quantized_thnt2_roundtrip_is_lossless(
         seed in 0u64..1_000,
@@ -203,44 +252,45 @@ proptest! {
         tree_depth in 1usize..3,
     ) {
         let quantized = quantized_engine(seed, width, tree_depth);
-        let mut blob = Vec::new();
-        quantized.save(None, &mut blob).unwrap();
-        let (reloaded, meta) = QuantizedStHybrid::load(blob.as_slice()).unwrap();
-        prop_assert_eq!(&reloaded, &quantized, "quantized round-trip must be bitwise identical");
-        prop_assert!(meta.is_none());
+        for opts in [SaveOptions::v3(), SaveOptions::v3_rle()] {
+            let mut blob = Vec::new();
+            save_quantized_thnt2_with(&quantized, None, opts, &mut blob).unwrap();
+            let (reloaded, meta) = QuantizedStHybrid::load(blob.as_slice()).unwrap();
+            prop_assert_eq!(&reloaded, &quantized, "{:?} round-trip must be bitwise identical", opts);
+            prop_assert!(meta.is_none());
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Truncating a quantized artifact anywhere must error, never panic.
+    /// Truncating a quantized artifact of any format anywhere must error,
+    /// never panic.
     #[test]
-    fn truncated_quantized_artifacts_are_rejected(cut_frac in 0.0f64..1.0) {
-        let quantized = quantized_engine(7, 6, 1);
-        let mut blob = Vec::new();
-        quantized.save(None, &mut blob).unwrap();
+    fn truncated_quantized_artifacts_are_rejected(cut_frac in 0.0f64..1.0, format in 0usize..3) {
+        let (name, blob) = quantized_format_blobs(7, 6).swap_remove(format);
         let cut = ((blob.len() as f64) * cut_frac) as usize;
         prop_assume!(cut < blob.len());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             QuantizedStHybrid::load(&blob[..cut])
         }));
         match outcome {
-            Ok(result) => prop_assert!(result.is_err(), "cut {} loaded", cut),
-            Err(_) => prop_assert!(false, "cut {} panicked the quantized loader", cut),
+            Ok(result) => prop_assert!(result.is_err(), "{}: cut {} loaded", name, cut),
+            Err(_) => prop_assert!(false, "{}: cut {} panicked the quantized loader", name, cut),
         }
     }
 
-    /// Byte-flip fuzzing the quantized loader under `catch_unwind`: panic-
-    /// freedom over arbitrary corruption, detection as the common case.
+    /// Byte-flip fuzzing the quantized loader under `catch_unwind`, in every
+    /// format: panic-freedom over arbitrary corruption, detection as the
+    /// common case.
     #[test]
     fn byte_flips_never_panic_the_quantized_loader(
         seed in 0u64..100_000,
         flips in 1usize..9,
+        format in 0usize..3,
     ) {
-        let quantized = quantized_engine(6, 4, 1);
-        let mut blob = Vec::new();
-        quantized.save(None, &mut blob).unwrap();
+        let (name, mut blob) = quantized_format_blobs(6, 4).swap_remove(format);
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..flips {
             let byte = rand::Rng::gen_range(&mut rng, 0..blob.len());
@@ -250,42 +300,79 @@ proptest! {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             QuantizedStHybrid::load(blob.as_slice())
         }));
-        prop_assert!(outcome.is_ok(), "byte flips panicked the quantized loader (seed {})", seed);
+        prop_assert!(outcome.is_ok(), "byte flips panicked the quantized loader ({}, seed {})", name, seed);
     }
 }
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let (_, engine) = frozen_engine(9, 6, 1);
-    let mut blob = Vec::new();
-    engine.save(None, &mut blob).unwrap();
-    blob.push(0);
-    assert!(PackedStHybrid::load(blob.as_slice()).is_err());
+    for (format, mut blob) in all_format_blobs(9) {
+        blob.push(0);
+        assert!(PackedStHybrid::load(blob.as_slice()).is_err(), "{format}");
+    }
 }
 
-/// Every explicit write format, saved with metadata (the richest layout).
-fn all_format_blobs(seed: u64) -> Vec<(SaveOptions, Vec<u8>)> {
+/// Every container format, with metadata (the richest layout): both write
+/// formats of `frozen_engine(seed, 6, 1)` and the v2 golden.
+fn all_format_blobs(seed: u64) -> Vec<(&'static str, Vec<u8>)> {
     let (_, engine) = frozen_engine(seed, 6, 1);
-    let meta = InferenceMeta {
-        mfcc: MfccConfig::paper(),
-        norm_mean: vec![0.1; 10],
-        norm_std: vec![2.0; 10],
+    let meta = golden_meta();
+    format_blobs(|opts, blob| save_thnt2_with(&engine, Some(&meta), opts, blob), PACKED_V2)
+}
+
+/// Both loaders read each v2 golden to the engine of its v3 golden, with
+/// bitwise-equal logits, and re-saving that engine reproduces the committed
+/// v3 and v3-rle bytes exactly: the writer is pinned to the bytes of the
+/// writer that made the goldens, independently of the RNG.
+#[test]
+fn golden_v2_blobs_load_like_v3_and_resave_to_the_v3_bytes() {
+    let mut rng = SmallRng::seed_from_u64(0x601D);
+    let x = thnt_tensor::gaussian(&[3, 1, 49, 10], 0.0, 1.0, &mut rng);
+    let (packed, meta) = PackedStHybrid::load(PACKED_V3).unwrap();
+    assert_eq!(meta, Some(golden_meta()));
+    let want = logit_bits(&packed.forward(&x));
+    let (quantized, _) = QuantizedStHybrid::load(QUANTIZED_V3).unwrap();
+    let want_quantized = logit_bits(&quantized.forward(&x));
+    for (format, blob) in [("packed v2", PACKED_V2), ("quantized v2", QUANTIZED_V2)] {
+        let aligned = AlignedBytes::from_slice(blob);
+        let (owned, owned_meta) = PackedStHybrid::load(blob).unwrap();
+        let (borrowed, borrowed_meta) = PackedStHybrid::load_ref(&aligned).unwrap();
+        for (loader, engine, meta) in
+            [("owning", owned, owned_meta), ("borrowed", borrowed, borrowed_meta)]
+        {
+            assert_eq!(engine, packed, "{format}: {loader} load");
+            assert_eq!(meta, Some(golden_meta()), "{format}: {loader} load");
+            assert_eq!(logit_bits(&engine.forward(&x)), want, "{format}: {loader} logits");
+        }
+    }
+    let (from_v2, _) = QuantizedStHybrid::load(QUANTIZED_V2).unwrap();
+    assert_eq!(from_v2, quantized);
+    assert_eq!(logit_bits(&from_v2.forward(&x)), want_quantized);
+
+    let same_bytes = |what: &str, got: &[u8], want: &[u8]| {
+        let at = got.iter().zip(want).position(|(a, b)| a != b);
+        assert!(got == want, "{what}: {} vs {} bytes, first diff at {at:?}", got.len(), want.len());
     };
-    [SaveOptions::v2(), SaveOptions::v3(), SaveOptions::v3_rle()]
-        .into_iter()
-        .map(|opts| {
-            let mut blob = Vec::new();
-            thnt_core::save_thnt2_with(&engine, Some(&meta), opts, &mut blob).unwrap();
-            (opts, blob)
-        })
-        .collect()
+    let (engine, _) = PackedStHybrid::load(PACKED_V2).unwrap();
+    let meta = golden_meta();
+    for (what, opts, golden) in [
+        ("packed v3", SaveOptions::v3(), PACKED_V3),
+        ("packed v3-rle", SaveOptions::v3_rle(), PACKED_V3_RLE),
+    ] {
+        let mut blob = Vec::new();
+        save_thnt2_with(&engine, Some(&meta), opts, &mut blob).unwrap();
+        same_bytes(what, &blob, golden);
+    }
+    let mut blob = Vec::new();
+    save_quantized_thnt2_with(&from_v2, Some(&meta), SaveOptions::v3(), &mut blob).unwrap();
+    same_bytes("quantized v3", &blob, QUANTIZED_V3);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The zero-copy loader is *observationally identical* to the owning
-    /// loader on every write format: same engine (plane for plane), same
+    /// loader on every container format: same engine (plane for plane), same
     /// metadata, and bitwise-identical logits — while an aligned v3 inline
     /// artifact provably lends out its bitplanes instead of copying them.
     #[test]
@@ -297,21 +384,19 @@ proptest! {
         let (_, engine) = frozen_engine(seed, width, tree_depth);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xB0);
         let x = thnt_tensor::gaussian(&[2, 1, 49, 10], 0.0, 1.0, &mut rng);
-        for opts in [SaveOptions::v2(), SaveOptions::v3(), SaveOptions::v3_rle()] {
-            let mut blob = Vec::new();
-            thnt_core::save_thnt2_with(&engine, None, opts, &mut blob).unwrap();
+        let save = |opts, blob: &mut Vec<u8>| save_thnt2_with(&engine, None, opts, blob);
+        for (format, blob) in format_blobs(save, PACKED_V2) {
             let aligned = AlignedBytes::from_slice(&blob);
             let (owned, _) = PackedStHybrid::load(blob.as_slice()).unwrap();
             let (borrowed, _) = PackedStHybrid::load_ref(&aligned).unwrap();
-            prop_assert_eq!(&borrowed, &owned, "loaders disagree for {:?}", opts);
+            prop_assert_eq!(&borrowed, &owned, "loaders disagree for {}", format);
             prop_assert_eq!(
                 borrowed.bitplanes_borrowed(),
-                opts == SaveOptions::v3(),
-                "only aligned v3 inline artifacts can lend bitplanes ({:?})", opts
+                format == "v3",
+                "only aligned v3 inline artifacts can lend bitplanes ({})", format
             );
-            let a: Vec<u32> = owned.forward(&x).data().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = borrowed.forward(&x).data().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(a, b, "logits must be bitwise identical ({:?})", opts);
+            let (a, b) = (logit_bits(&owned.forward(&x)), logit_bits(&borrowed.forward(&x)));
+            prop_assert_eq!(a, b, "logits must be bitwise identical ({})", format);
         }
     }
 
@@ -326,9 +411,9 @@ proptest! {
     ) {
         let (_, engine) = frozen_engine(seed, width, tree_depth);
         let mut inline = Vec::new();
-        thnt_core::save_thnt2_with(&engine, None, SaveOptions::v3(), &mut inline).unwrap();
+        save_thnt2_with(&engine, None, SaveOptions::v3(), &mut inline).unwrap();
         let mut rle = Vec::new();
-        thnt_core::save_thnt2_with(&engine, None, SaveOptions::v3_rle(), &mut rle).unwrap();
+        save_thnt2_with(&engine, None, SaveOptions::v3_rle(), &mut rle).unwrap();
         let (reloaded, _) = PackedStHybrid::load(rle.as_slice()).unwrap();
         prop_assert_eq!(&reloaded, &engine, "RLE round-trip must be lossless");
         prop_assert!(
@@ -339,12 +424,12 @@ proptest! {
 }
 
 /// The exhaustive truncation sweep of `every_truncation_prefix_errors_
-/// without_panicking`, repeated for each write format and for **both**
+/// without_panicking`, repeated for each container format and for **both**
 /// loaders — the borrowing path validates the same invariants as the
 /// owning one, prefix by prefix.
 #[test]
 fn every_truncation_prefix_errors_in_every_format_and_loader() {
-    for (opts, blob) in all_format_blobs(5) {
+    for (format, blob) in all_format_blobs(5) {
         for cut in 0..blob.len() {
             let prefix = &blob[..cut];
             let aligned = AlignedBytes::from_slice(prefix);
@@ -353,10 +438,10 @@ fn every_truncation_prefix_errors_in_every_format_and_loader() {
             }));
             match outcome {
                 Ok((owned, borrowed)) => {
-                    assert!(owned.is_err(), "{opts:?}: owning load of prefix {cut} succeeded");
-                    assert!(borrowed.is_err(), "{opts:?}: borrowed load of prefix {cut} succeeded");
+                    assert!(owned.is_err(), "{format}: owning load of prefix {cut} succeeded");
+                    assert!(borrowed.is_err(), "{format}: borrowed load of prefix {cut} succeeded");
                 }
-                Err(_) => panic!("{opts:?}: prefix {cut}/{} PANICKED a loader", blob.len()),
+                Err(_) => panic!("{format}: prefix {cut}/{} PANICKED a loader", blob.len()),
             }
         }
     }
@@ -365,7 +450,7 @@ fn every_truncation_prefix_errors_in_every_format_and_loader() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Byte-flip fuzzing across all three write formats and both loaders:
+    /// Byte-flip fuzzing across all three container formats and both loaders:
     /// corruption anywhere (section table padding, RLE streams, mode
     /// bytes…) must never panic — including the `unsafe` aligned-borrow
     /// path in the zero-copy loader. Whatever the trusted borrowed load
@@ -378,7 +463,7 @@ proptest! {
         flips in 1usize..9,
         format in 0usize..3,
     ) {
-        let (opts, mut blob) = all_format_blobs(6).swap_remove(format);
+        let (name, mut blob) = all_format_blobs(6).swap_remove(format);
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..flips {
             let byte = rand::Rng::gen_range(&mut rng, 0..blob.len());
@@ -393,7 +478,7 @@ proptest! {
                 engine.forward(&x);
             }
         }));
-        prop_assert!(outcome.is_ok(), "byte flips panicked a loader ({:?}, seed {})", opts, seed);
+        prop_assert!(outcome.is_ok(), "byte flips panicked a loader ({}, seed {})", name, seed);
     }
 }
 
@@ -444,7 +529,7 @@ fn live_targets(net: &StHybridNet, blob: &[u8]) -> (Vec<(usize, u8)>, Vec<usize>
 fn flips_in_borrowed_planes_and_payloads_never_panic() {
     let (net, engine) = frozen_engine(31, 6, 1);
     let mut blob = Vec::new();
-    thnt_core::save_thnt2_with(&engine, None, SaveOptions::v3(), &mut blob).unwrap();
+    save_thnt2_with(&engine, None, SaveOptions::v3(), &mut blob).unwrap();
     let aligned = AlignedBytes::from_slice(&blob);
     let (clean, _) = PackedStHybrid::load_ref(&aligned).unwrap();
     assert!(clean.bitplanes_borrowed(), "the target is the zero-copy path");

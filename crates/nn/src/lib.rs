@@ -62,9 +62,7 @@ pub use distill::{distill_grad, DistillConfig};
 pub use fault::{FaultMode, FaultyBackend};
 pub use gradcheck::check_gradients;
 pub use infer::{evaluate_backend, DenseBackend, InferenceBackend, IsolatedBatch};
-pub use io::{
-    load_model, load_model_file, save_model, save_model_file, SectionReader, SectionWriter,
-};
+pub use io::{load_model, load_model_file, save_model, save_model_file, SectionWriter};
 pub use layers::{Dense, Flatten, GlobalAvgPoolLayer, Relu, Sigmoid, Tanh};
 pub use loss::{accuracy, multiclass_hinge, softmax, softmax_cross_entropy, Loss};
 pub use model::{Layer, LayerModel, Model, Sequential};

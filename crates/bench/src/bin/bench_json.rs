@@ -543,9 +543,10 @@ fn main() {
         }
     }
 
-    // The MFCC front-end itself, one one-second window per iteration:
-    // the retired straight-line pipeline vs the planned pipeline (the
-    // serial `compute_into` every serving path uses, and the parallel
+    // The MFCC front-end itself, one whole one-second window per
+    // iteration: the retired straight-line pipeline vs the planned pipeline
+    // (the serial `compute_into`, the frame loop every serving path runs,
+    // here over all 49 frames as a frame-cache miss pays, and the parallel
     // `compute_into_par` offline callers may use). All planned rows execute
     // on the process-wide DSP dispatch.
     let dsp_kernel = DspDispatch::get().kernel().name();

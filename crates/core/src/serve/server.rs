@@ -1,7 +1,8 @@
 //! The shard engine behind [`ShardedStreamServer`]: one worker's slice of
-//! the sessions — their audio rings, pending windows and posterior
-//! histories — multiplexed over shared backends with cross-session batched
-//! inference, bounded queues, and per-row fault isolation.
+//! the sessions — their audio rings, frame caches, pending windows and
+//! posterior histories — multiplexed over shared backends with
+//! cross-session batched inference, bounded queues, and per-row fault
+//! isolation.
 //!
 //! Crate-private. The front door validates every session, model and feed
 //! buffer before a command reaches a shard, so the engine returns nothing a
@@ -22,12 +23,16 @@ use thnt_tensor::Tensor;
 use crate::serve::error::{ModelId, ServeError, SessionId};
 use crate::serve::sharded::{ModelSpec, OverflowPolicy, ServeConfig, ShardSnapshot};
 use crate::serve::stats::{LatencyHistogram, ServedDetection, ServerStats};
-use crate::streaming::{normalize_in_place, push_vote, Detection, SessionState, StreamingConfig};
+use crate::streaming::{push_vote, Detection, FrameCache, SessionState, StreamingConfig};
 
-/// Per-session serving state: the audio ring, the posterior vote, and the
-/// session's share of the pending queue.
+/// Per-session serving state: the audio ring, the features of the last
+/// extracted window, the posterior vote, and the session's share of the
+/// pending queue.
 struct Session {
     state: SessionState,
+    /// Features of the session's last extracted window, shared with its
+    /// next one.
+    frames: FrameCache,
     recent: VecDeque<Vec<f32>>,
     /// Windows this session currently has in the pending queue — the
     /// quantity [`ServeConfig::queue_bound`] bounds.
@@ -157,6 +162,7 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
         }
         let session = Session {
             state: SessionState::new(entry.window_len),
+            frames: FrameCache::default(),
             recent: VecDeque::new(),
             queued: 0,
             model: model.raw() as usize,
@@ -229,7 +235,9 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
 
     /// Serves the pending windows: sheds down to the tick budget (oldest
     /// first, before any feature extraction), extracts MFCC features window
-    /// by window on the calling thread, runs batched inference per model
+    /// by window on the calling thread through each session's frame cache
+    /// (in arrival order, so a window shares frames with the session's
+    /// previous extracted one), runs batched inference per model
     /// through [`InferenceBackend::infer_isolated`] (at most `max_batch`
     /// windows per call), quarantines windows whose logits are unusable,
     /// applies each surviving session's smoothing vote in arrival order, and
@@ -282,14 +290,24 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
             }
             let per = model.frames * model.coeffs;
             let mut batch = Tensor::zeros(&[idxs.len(), 1, model.frames, model.coeffs]);
-            // One plan and one scratch: each window's features are written
-            // straight into its row of the batch tensor. The parallelism
-            // axis is shards, so extraction stays serial.
+            // One plan and one scratch: each window's features come from its
+            // session's frame cache into its row of the batch tensor. The
+            // parallelism axis is shards, so extraction stays serial.
             let plan = model.mfcc.plan();
             let mut scratch = plan.scratch();
             for (&w, row) in idxs.iter().zip(batch.data_mut().chunks_mut(per)) {
-                plan.compute_into(&mut scratch, &pending[w].audio, row);
-                normalize_in_place(row, &model.norm_mean, &model.norm_std);
+                let window = &pending[w];
+                // Every window left in `pending` has a live session.
+                if let Some(session) = self.sessions.get_mut(&window.session) {
+                    row.copy_from_slice(session.frames.features(
+                        plan,
+                        &mut scratch,
+                        &window.audio,
+                        window.at_sample,
+                        &model.norm_mean,
+                        &model.norm_std,
+                    ));
+                }
             }
             // Fault-isolated inference: a panicking / wrong-arity /
             // NaN-emitting backend call quarantines only its own rows.
@@ -361,6 +379,7 @@ mod tests {
 
     use super::*;
     use crate::serve::ShardedStreamServer;
+    use crate::streaming::tests::small_mfcc;
     use crate::streaming::StreamingDetector;
     use thnt_dsp::MfccConfig;
 
@@ -398,22 +417,6 @@ mod tests {
         }
         fn model_bytes(&self) -> usize {
             0
-        }
-    }
-
-    /// Small MFCC config so tests stay fast in debug builds: a 2000-sample
-    /// window of 8 frames.
-    fn small_mfcc() -> MfccConfig {
-        MfccConfig {
-            sample_rate: 2_000.0,
-            frame_len: 256,
-            hop: 256,
-            fft_size: 256,
-            num_mel: 20,
-            num_coeffs: 10,
-            f_lo: 20.0,
-            f_hi: 950.0,
-            preemphasis: 0.97,
         }
     }
 

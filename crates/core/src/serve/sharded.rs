@@ -707,6 +707,7 @@ fn worker<B: InferenceBackend + ?Sized>(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::streaming::tests::small_mfcc;
     use thnt_tensor::Tensor;
 
     /// Same deterministic input-dependent stub as the server tests: each
@@ -741,20 +742,6 @@ mod tests {
         }
         fn model_bytes(&self) -> usize {
             0
-        }
-    }
-
-    fn small_mfcc() -> MfccConfig {
-        MfccConfig {
-            sample_rate: 2_000.0,
-            frame_len: 256,
-            hop: 256,
-            fft_size: 256,
-            num_mel: 20,
-            num_coeffs: 10,
-            f_lo: 20.0,
-            f_hi: 950.0,
-            preemphasis: 0.97,
         }
     }
 

@@ -10,7 +10,9 @@
 //! `.thnt2` artifact with no training stack in the process:
 //!
 //! * maintains a one-second circular buffer of audio,
-//! * recomputes MFCC features every `hop` samples,
+//! * every `hop` samples, computes the MFCC features of the window that
+//!   ends there — only the frames the previous window did not already
+//!   cover,
 //! * mean-smooths the posteriors of the last `smoothing` windows,
 //! * reports a detection only when the smoothed class is a keyword and its
 //!   confidence clears `threshold`.
@@ -20,7 +22,8 @@
 //! ring is index-based (head pointer plus wrap-aware window extraction into
 //! a reusable scratch buffer), so pushing a sample is a single write — no
 //! per-sample shifting — and the per-window cost collapses to MFCC plus
-//! backend inference.
+//! backend inference. The server keeps the per-stream frame cache the same
+//! way.
 //!
 //! The backend is held by shared reference: inference is `&self`, so one
 //! compiled engine can serve many concurrent detectors.
@@ -32,7 +35,7 @@
 
 use std::collections::VecDeque;
 
-use thnt_dsp::{Mfcc, MfccConfig, MfccScratch};
+use thnt_dsp::{Mfcc, MfccConfig, MfccPlan, MfccScratch};
 use thnt_nn::{softmax, InferenceBackend};
 use thnt_tensor::Tensor;
 
@@ -42,6 +45,12 @@ use crate::artifact::InferenceMeta;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
     /// Samples between successive inferences (default: 8000 = 0.5 s).
+    ///
+    /// A hop that is a multiple of the MFCC frame stride lets consecutive
+    /// windows share frames: each window then extracts only the frames the
+    /// previous one did not cover (the default is 25 strides of the paper's
+    /// 320-sample stride, so 25 of 49 frames). Any other hop extracts every
+    /// frame of every window.
     pub hop: usize,
     /// Number of recent windows in the majority vote.
     pub smoothing: usize,
@@ -168,15 +177,85 @@ impl SessionState {
     }
 }
 
-/// Standardises a feature buffer in place: `v ← (v − mean[c]) / std[c]`,
-/// row by row. The MFCC plan writes features straight into the inference
-/// input buffer, so normalisation no longer copies between tensors.
-pub(crate) fn normalize_in_place(data: &mut [f32], mean: &[f32], std: &[f32]) {
+/// Standardises feature rows in place: `v ← (v − mean[c]) / std[c]`, row
+/// by row.
+fn normalize_in_place(data: &mut [f32], mean: &[f32], std: &[f32]) {
     let coeffs = mean.len();
     for row in data.chunks_mut(coeffs) {
         for ((v, &m), &s) in row.iter_mut().zip(mean).zip(std) {
             *v = (*v - m) / s;
         }
+    }
+}
+
+/// One stream's last normalised feature map and the stream position at its
+/// end — the state that lets consecutive windows share MFCC frames.
+///
+/// Frame `j` of a window is frame `j + s` of the window that ended `s`
+/// frame strides earlier: both read the same samples, and pre-emphasis
+/// differs only on the new window's very first sample, which the periodic
+/// Hann window's first tap (exactly `0.0`) removes before the spectrum.
+/// Normalisation is per row, so the normalised rows carry over too. When a
+/// window ends `s` strides after the cached one with `0 < s < frames`,
+/// [`Self::features`] therefore copies the `frames − s` shared rows and
+/// extracts only the last `s`. Every other window extracts all of its
+/// frames through the same call: a stream's first window, a window whose
+/// step from the cached one is not a whole number of strides, and one that
+/// moved on by `frames` strides or more — at the default hop, every window
+/// after a dropped or shed one. For finite audio the rows are bit for bit
+/// those of extracting the whole window; a non-finite sample poisons the
+/// frames that read it either way.
+///
+/// [`StreamingDetector`] keeps one per stream and every serving shard one
+/// per session. A new cache allocates nothing until its first window.
+#[derive(Debug, Default)]
+pub(crate) struct FrameCache {
+    /// The last window's normalised `frames × coeffs` rows; empty until the
+    /// first window.
+    rows: Vec<f32>,
+    /// Stream position at the end of that window.
+    at_sample: usize,
+}
+
+impl FrameCache {
+    /// How many leading frames of the `frames`-frame window ending at
+    /// `at_sample` are the trailing frames of the cached one — `frames − s`
+    /// when it ends `s` whole strides later and `0 < s < frames`, else `0`.
+    fn shared_frames(&self, config: &MfccConfig, frames: usize, at_sample: usize) -> usize {
+        if self.rows.len() != frames * config.num_coeffs {
+            return 0;
+        }
+        match at_sample.checked_sub(self.at_sample) {
+            Some(step) if step > 0 && step.checked_rem(config.hop) == Some(0) => {
+                frames.saturating_sub(step / config.hop)
+            }
+            _ => 0,
+        }
+    }
+
+    /// The normalised features of `window`, the samples that end at stream
+    /// position `at_sample`, as `frames × coeffs` rows.
+    pub(crate) fn features(
+        &mut self,
+        plan: &MfccPlan,
+        scratch: &mut MfccScratch,
+        window: &[f32],
+        at_sample: usize,
+        norm_mean: &[f32],
+        norm_std: &[f32],
+    ) -> &[f32] {
+        let config = plan.config();
+        let (frames, coeffs) = (config.num_frames(window.len()), config.num_coeffs);
+        let shared = self.shared_frames(config, frames, at_sample);
+        if shared > 0 {
+            self.rows.copy_within((frames - shared) * coeffs.., 0);
+        } else {
+            self.rows.resize(frames * coeffs, 0.0);
+        }
+        plan.compute_frames_into(scratch, window, shared, &mut self.rows);
+        normalize_in_place(&mut self.rows[shared * coeffs..], norm_mean, norm_std);
+        self.at_sample = at_sample;
+        &self.rows
     }
 }
 
@@ -234,10 +313,12 @@ pub struct StreamingDetector<'m, B: InferenceBackend + ?Sized> {
     norm_std: Vec<f32>,
     state: SessionState,
     recent: VecDeque<Vec<f32>>,
+    /// The last window's features, shared with the next window.
+    frames: FrameCache,
     /// Reusable MFCC workspace; no per-window allocation.
     scratch: MfccScratch,
-    /// Reused `[1, 1, frames, coeffs]` input; the MFCC plan writes features
-    /// straight into its buffer and normalisation happens in place.
+    /// Reused `[1, 1, frames, coeffs]` input the frame cache's rows are
+    /// copied into.
     input: Tensor,
 }
 
@@ -296,6 +377,7 @@ impl<'m, B: InferenceBackend + ?Sized> StreamingDetector<'m, B> {
             norm_std,
             state: SessionState::new(window_len),
             recent: VecDeque::new(),
+            frames: FrameCache::default(),
             scratch,
             input: Tensor::zeros(&[1, 1, frames, mfcc_cfg.num_coeffs]),
         }
@@ -330,13 +412,14 @@ impl<'m, B: InferenceBackend + ?Sized> StreamingDetector<'m, B> {
             norm_std,
             state,
             recent,
+            frames,
             scratch,
             input,
         } = self;
         state.feed(samples, config.hop, |window, at_sample| {
-            // Features land directly in the reused input tensor.
-            mfcc.plan().compute_into(scratch, window, input.data_mut());
-            normalize_in_place(input.data_mut(), norm_mean, norm_std);
+            let features =
+                frames.features(mfcc.plan(), scratch, window, at_sample, norm_mean, norm_std);
+            input.data_mut().copy_from_slice(features);
             let logits = backend.infer(input);
             let classes = logits.dims()[1];
             assert_eq!(
@@ -371,7 +454,7 @@ impl<B: InferenceBackend + ?Sized> std::fmt::Debug for StreamingDetector<'_, B> 
 // Tests may unwrap freely; the panic-free discipline covers the serving
 // path above, not its assertions.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A stub backend that always emits fixed logits.
@@ -545,6 +628,99 @@ mod tests {
         // Uniform posteriors: the pre-hardening `max_by` picked the last
         // maximal class, and the serve-equivalence oracles depend on it.
         assert_eq!(push_vote(&mut recent, &[0.25; 4], 3), Some((3, 0.25)));
+    }
+
+    /// A small front end that keeps debug-build tests fast: 2 kHz audio,
+    /// 256-sample frames at a 256-sample stride, 7 frames per 2000-sample
+    /// window. The serving tests share it.
+    pub(crate) fn small_mfcc() -> MfccConfig {
+        MfccConfig {
+            sample_rate: 2_000.0,
+            frame_len: 256,
+            hop: 256,
+            fft_size: 256,
+            num_mel: 20,
+            num_coeffs: 10,
+            f_lo: 20.0,
+            f_hi: 950.0,
+            preemphasis: 0.97,
+        }
+    }
+
+    /// Drives one [`FrameCache`] over `windows` random window ends of a
+    /// noisy chirp — whole-stride steps shorter than a window, off-stride
+    /// steps, and steps of `frames` strides or a whole window and more —
+    /// and checks that each window's rows equal extracting and normalising
+    /// that window from scratch, bit for bit, and that exactly the
+    /// whole-stride steps shorter than `frames` strides shared frames.
+    fn frame_cache_matches_whole_windows(config: MfccConfig, seed: u64, windows: usize) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let plan = MfccPlan::new(config);
+        let (len, stride) = (config.sample_rate as usize, config.hop);
+        let (frames, coeffs) = (config.num_frames(len), config.num_coeffs);
+        let mean: Vec<f32> = (0..coeffs).map(|c| 0.3 * c as f32 - 1.0).collect();
+        let std: Vec<f32> = (0..coeffs).map(|c| 0.5 + 0.25 * c as f32).collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ends = vec![len + rng.gen_range(0..3 * stride)];
+        let mut hits = 0;
+        for _ in 1..windows {
+            let step = match rng.gen_range(0..4) {
+                0 | 1 => stride * rng.gen_range(1..frames),
+                2 => stride * rng.gen_range(0..frames) + rng.gen_range(1..stride),
+                _ if rng.gen_range(0..2) == 0 => stride * rng.gen_range(frames..frames + 3),
+                _ => len + rng.gen_range(0..len),
+            };
+            ends.push(ends[ends.len() - 1] + step);
+        }
+        let stream: Vec<f32> = (0..ends[ends.len() - 1])
+            .map(|t| {
+                let phase = t as f32 / config.sample_rate;
+                (2.0 * std::f32::consts::PI * (90.0 + 70.0 * phase) * phase).sin() * 0.4
+                    + rng.gen_range(-0.05f32..0.05)
+            })
+            .collect();
+
+        let (mut cache, mut scratch) = (FrameCache::default(), plan.scratch());
+        let mut prev: Option<usize> = None;
+        for (k, &end) in ends.iter().enumerate() {
+            let window = &stream[end - len..end];
+            let want_shared = match prev.map(|p| end - p) {
+                Some(step) if step % stride == 0 && step / stride < frames => {
+                    frames - step / stride
+                }
+                _ => 0,
+            };
+            assert_eq!(cache.shared_frames(&config, frames, end), want_shared, "window {k}");
+            hits += usize::from(want_shared > 0);
+            let mut want = vec![0.0f32; frames * coeffs];
+            plan.compute_into(&mut plan.scratch(), window, &mut want);
+            normalize_in_place(&mut want, &mean, &std);
+            let got = cache.features(&plan, &mut scratch, window, end, &mean, &std);
+            assert!(
+                got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "window {k} (ends at {end}, {want_shared} shared frames) differs (seed {seed})"
+            );
+            prev = Some(end);
+        }
+        assert!(windows < 4 || hits > 0, "no window hit the cache (seed {seed})");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// The frame cache on the paper's 49×10 front end.
+        #[test]
+        fn frame_cache_matches_whole_windows_on_the_paper_front_end(seed in 0u64..10_000) {
+            frame_cache_matches_whole_windows(MfccConfig::paper(), seed, 8);
+        }
+
+        /// The frame cache on the serving tests' 256-stride front end.
+        #[test]
+        fn frame_cache_matches_whole_windows_on_the_small_front_end(seed in 0u64..10_000) {
+            frame_cache_matches_whole_windows(small_mfcc(), seed, 24);
+        }
     }
 
     #[test]

@@ -63,6 +63,13 @@ pub fn small_mfcc() -> MfccConfig {
     }
 }
 
+/// The stream hops every serving schedule runs at, against
+/// [`small_mfcc`]'s 256-sample frame stride. At 500 no two windows share a
+/// frame, so every window extracts all 7 of its frames; 512 is two
+/// strides, so consecutive windows share 5 frames and the serving frame
+/// cache is hit.
+pub const HOPS: [usize; 2] = [500, 512];
+
 /// A deterministic test stream with enough structure that detections
 /// actually fire: a slow chirp (`f0 + df·t` Hz over a `sample_rate` clock)
 /// plus seeded noise.
@@ -101,7 +108,8 @@ pub fn assert_cells_reconcile(server: &ShardedStreamServer, context: &str) {
 /// From-scratch single-window pipeline: MFCC → normalise → infer → softmax
 /// → smoothing vote → threshold. Everything the serving layer does per
 /// window, reimplemented independently so oracle-based tests share no
-/// serving code with the system under test.
+/// serving code with the system under test — in particular it extracts
+/// every frame of every window, sharing none with the previous one.
 pub struct PipelineOracle {
     mfcc: thnt_dsp::Mfcc,
     probe: Probe,

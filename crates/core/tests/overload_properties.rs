@@ -23,7 +23,7 @@ mod common;
 
 use std::collections::{HashMap, VecDeque};
 
-use common::{assert_cells_reconcile, chirp_stream, small_mfcc, PipelineOracle, Probe};
+use common::{assert_cells_reconcile, chirp_stream, small_mfcc, PipelineOracle, Probe, HOPS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -32,12 +32,11 @@ use thnt_core::{
     ShardedStreamServer, StreamingConfig,
 };
 
-const HOP: usize = 500;
 const WINDOW: usize = 2_000;
 const COEFFS: usize = 10;
 
-fn config() -> StreamingConfig {
-    StreamingConfig { hop: HOP, smoothing: 2, threshold: 0.05, suppress_trailing: 2 }
+fn config(hop: usize) -> StreamingConfig {
+    StreamingConfig { hop, smoothing: 2, threshold: 0.05, suppress_trailing: 2 }
 }
 
 fn norm_mean() -> Vec<f32> {
@@ -58,28 +57,30 @@ fn spec(backend: &Probe) -> ModelSpec<'_, Probe> {
 }
 
 /// The shared from-scratch pipeline oracle, bound to this file's fixtures.
-fn oracle(classes: usize) -> PipelineOracle {
-    PipelineOracle::new(classes, small_mfcc(), config(), norm_mean(), norm_std())
+fn oracle(classes: usize, hop: usize) -> PipelineOracle {
+    PipelineOracle::new(classes, small_mfcc(), config(hop), norm_mean(), norm_std())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property 1: exact accounting under arbitrary bounds, policies,
-    /// budgets, and schedules — including feeds to closed sessions, which
-    /// must move nothing.
+    /// budgets, hops and schedules — including feeds to closed sessions,
+    /// which must move nothing.
     #[test]
     fn stats_reconcile_after_every_operation(
         seed in 0u64..10_000,
         bound in 0usize..4,
         policy_idx in 0usize..2,
         budget in 0usize..5,
+        hop_choice in 0usize..2,
     ) {
+        let hop = HOPS[hop_choice];
         let policy = [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest][policy_idx];
         let backend = Probe { classes: 8 };
         let serve =
             ServeConfig { queue_bound: bound, overflow: policy, tick_budget: budget, ..deterministic() };
-        let stats = ShardedStreamServer::run(vec![spec(&backend)], config(), serve, |server| {
+        let stats = ShardedStreamServer::run(vec![spec(&backend)], config(hop), serve, |server| {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut ids: Vec<SessionId> = Vec::new();
             let mut closed: Vec<SessionId> = Vec::new();
@@ -117,7 +118,7 @@ proptest! {
                         // call; under DropOldest an admitted window also
                         // counts its eviction, so `dropped` is bounded
                         // separately from `fed`.
-                        let due_max = (len / HOP + 2) as u64;
+                        let due_max = (len / hop + 2) as u64;
                         let fed = after.windows_fed - before.windows_fed;
                         let dropped = after.windows_dropped - before.windows_dropped;
                         prop_assert!(
@@ -149,12 +150,16 @@ proptest! {
     /// Property 2: a `DropOldest`-bounded server detects exactly what the
     /// unbounded pipeline detects on the surviving windows. Admission is
     /// simulated window-for-window alongside the server; the survivors are
-    /// then pushed through the independent [`PipelineOracle`].
+    /// then pushed through the independent [`PipelineOracle`], which
+    /// extracts every window from scratch — so at a hop on the frame
+    /// stride this also checks the server's frame cache across evictions.
     #[test]
     fn drop_oldest_equals_unbounded_pipeline_on_surviving_windows(
         seed in 0u64..10_000,
         bound in 1usize..4,
+        hop_choice in 0usize..2,
     ) {
+        let hop = HOPS[hop_choice];
         let backend = Probe { classes: 8 };
         let serve =
             ServeConfig { queue_bound: bound, overflow: OverflowPolicy::DropOldest, ..deterministic() };
@@ -179,7 +184,7 @@ proptest! {
             .collect();
         let admit = |sim: &mut Sim, audio: &[f32]| {
             let Sim { state, queue, .. } = sim;
-            state.feed(audio, HOP, |window, at_sample| {
+            state.feed(audio, hop, |window, at_sample| {
                 if queue.len() >= bound {
                     queue.pop_front(); // DropOldest admission
                 }
@@ -188,7 +193,7 @@ proptest! {
         };
 
         let (mut served, ids, stats) =
-            ShardedStreamServer::run(vec![spec(&backend)], config(), serve, |server| {
+            ShardedStreamServer::run(vec![spec(&backend)], config(hop), serve, |server| {
                 let ids: Vec<SessionId> =
                     streams.iter().map(|_| server.try_open().expect("open")).collect();
                 let mut fed = vec![0usize; num_sessions];
@@ -235,7 +240,7 @@ proptest! {
         prop_assert!(stats.windows_dropped > 0, "bound {} never overflowed", bound);
 
         for (k, id) in ids.iter().enumerate() {
-            let mut oracle = oracle(8);
+            let mut oracle = oracle(8, hop);
             let want: Vec<Detection> = sims[k]
                 .survivors
                 .iter()
@@ -244,7 +249,7 @@ proptest! {
             let got = served.remove(id).unwrap_or_default();
             prop_assert_eq!(
                 got, want,
-                "session {} bounded-vs-oracle diverged (seed {}, bound {})", k, seed, bound
+                "session {} bounded-vs-oracle diverged (seed {}, bound {}, hop {})", k, seed, bound, hop
             );
         }
     }
@@ -263,26 +268,32 @@ fn sustained_overload_holds_memory_flat() {
         tick_budget: 4,
         ..deterministic()
     };
-    ShardedStreamServer::run(vec![spec(&backend)], config(), serve, |server| {
-        let ids: Vec<SessionId> =
-            (0..4 * server.shards()).map(|_| server.try_open().expect("open")).collect();
-        let stream = chirp_stream(3_000, 77, 2_000.0, 90.0, 70.0);
-        for round in 0..20 {
-            for &id in &ids {
-                server.try_feed(id, &stream).expect("feed");
+    for hop in HOPS {
+        ShardedStreamServer::run(vec![spec(&backend)], config(hop), serve, |server| {
+            let ids: Vec<SessionId> =
+                (0..4 * server.shards()).map(|_| server.try_open().expect("open")).collect();
+            let stream = chirp_stream(3_000, 77, 2_000.0, 90.0, 70.0);
+            for round in 0..20 {
+                for &id in &ids {
+                    server.try_feed(id, &stream).expect("feed");
+                }
+                // Queue depth never exceeds bound × sessions, no matter the
+                // round.
+                assert!(
+                    server.pending_windows() <= 2 * ids.len(),
+                    "hop {hop}, round {round}: pending {} exceeded the bound",
+                    server.pending_windows()
+                );
+                server.flush();
             }
-            // Queue depth never exceeds bound × sessions, no matter the round.
+            let stats = server.stats();
+            assert!(stats.windows_dropped > 0, "hop {hop}: overload must evict: {stats:?}");
+            assert!(stats.windows_shed > 0, "hop {hop}: tick budget must shed: {stats:?}");
             assert!(
-                server.pending_windows() <= 2 * ids.len(),
-                "round {round}: pending {} exceeded the bound",
-                server.pending_windows()
+                stats.windows_served > 0,
+                "hop {hop}: the server must still serve fresh work: {stats:?}"
             );
-            server.flush();
-        }
-        let stats = server.stats();
-        assert!(stats.windows_dropped > 0, "overload must evict: {stats:?}");
-        assert!(stats.windows_shed > 0, "tick budget must shed: {stats:?}");
-        assert!(stats.windows_served > 0, "the server must still serve fresh work: {stats:?}");
-        assert_cells_reconcile(server, "after sustained overload");
-    });
+            assert_cells_reconcile(server, "after sustained overload");
+        });
+    }
 }

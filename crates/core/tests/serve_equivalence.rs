@@ -15,7 +15,7 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{small_mfcc, Probe};
+use common::{small_mfcc, Probe, HOPS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -36,12 +36,23 @@ fn session_stream(len: usize, seed: u64) -> Vec<f32> {
 type ShardedScheduleRun =
     (HashMap<SessionId, Vec<Detection>>, Vec<Option<SessionId>>, Vec<Vec<f32>>, Vec<usize>);
 
-/// Runs one randomized schedule against a sharded server and returns the
-/// per-session detections. The schedule is a pure function of `seed`, so two
-/// calls with different `shards` replay identical commands.
-fn run_sharded_schedule(seed: u64, num_sessions: usize, shards: usize) -> ShardedScheduleRun {
+/// The post-processing every schedule here runs, at stream hop `hop`.
+fn config(hop: usize) -> StreamingConfig {
+    StreamingConfig { hop, smoothing: 3, threshold: 0.15, suppress_trailing: 2 }
+}
+
+/// Runs one randomized schedule against a sharded server at stream hop
+/// `hop` and returns the per-session detections. The schedule is a pure
+/// function of `seed`, so two calls with different `shards` replay
+/// identical commands.
+fn run_sharded_schedule(
+    seed: u64,
+    num_sessions: usize,
+    shards: usize,
+    hop: usize,
+) -> ShardedScheduleRun {
     let backend = Probe { classes: 8 };
-    let config = StreamingConfig { hop: 500, smoothing: 3, threshold: 0.15, suppress_trailing: 2 };
+    let config = config(hop);
     let mean = vec![0.2; 10];
     let std = vec![1.5; 10];
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -112,29 +123,35 @@ proptest! {
     /// `THNT_SERVE_SHARDS` override), driven by randomized schedules —
     /// staggered joins, uneven chunks, early leaves (a leaving session's
     /// stream is truncated at its cutoff for the reference detector too),
-    /// random barriers, random size triggers — must detect exactly like
-    /// independent detectors, bit-equal confidences included.
+    /// random barriers, random size triggers, a hop off or on the frame
+    /// stride — must detect exactly like independent detectors, bit-equal
+    /// confidences included.
     #[test]
     fn sharded_sessions_match_independent_detectors(
         seed in 0u64..10_000,
         num_sessions in 2usize..6,
         shard_choice in 0usize..4,
+        hop_choice in 0usize..2,
     ) {
         let backend = Probe { classes: 8 };
-        let config = StreamingConfig { hop: 500, smoothing: 3, threshold: 0.15, suppress_trailing: 2 };
+        let hop = HOPS[hop_choice];
         let shards = ServeConfig::shards_from_env([1, 2, 4, 7][shard_choice]);
-        let (mut served, ids, streams, cutoffs) = run_sharded_schedule(seed, num_sessions, shards);
+        let (mut served, ids, streams, cutoffs) =
+            run_sharded_schedule(seed, num_sessions, shards, hop);
         for k in 0..num_sessions {
             let mut det = StreamingDetector::with_mfcc(
                 &backend,
-                config,
+                config(hop),
                 small_mfcc(),
                 vec![0.2; 10],
                 vec![1.5; 10],
             );
             let want = det.push(&streams[k][..cutoffs[k]]);
             let got = ids[k].and_then(|id| served.remove(&id)).unwrap_or_default();
-            prop_assert_eq!(got, want, "session {} diverged (seed {}, {} shards)", k, seed, shards);
+            prop_assert_eq!(
+                got, want,
+                "session {} diverged (seed {}, {} shards, hop {})", k, seed, shards, hop
+            );
         }
         prop_assert!(served.is_empty(), "detections for unknown sessions");
     }
@@ -147,18 +164,25 @@ proptest! {
     fn detections_are_invariant_across_shard_counts(
         seed in 0u64..10_000,
         num_sessions in 2usize..6,
+        hop_choice in 0usize..2,
     ) {
-        let (reference, _, _, _) = run_sharded_schedule(seed, num_sessions, 1);
+        let hop = HOPS[hop_choice];
+        let (reference, _, _, _) = run_sharded_schedule(seed, num_sessions, 1, hop);
         for shards in [2usize, 4, 7] {
-            let (got, _, _, _) = run_sharded_schedule(seed, num_sessions, shards);
-            prop_assert_eq!(&got, &reference, "{} shards diverged (seed {})", shards, seed);
+            let (got, _, _, _) = run_sharded_schedule(seed, num_sessions, shards, hop);
+            prop_assert_eq!(
+                &got, &reference,
+                "{} shards diverged (seed {}, hop {})", shards, seed, hop
+            );
         }
     }
 }
 
 /// The sharded equivalence on the real packed add-only engine, shared by
 /// reference across 4 shards: 8 sessions must detect exactly like 8
-/// independent detectors over the same engine.
+/// independent detectors over the same engine. The hop of 8000 is 25 of the
+/// paper front end's 320-sample strides, so every window after a session's
+/// first shares 24 frames with the one before.
 #[test]
 fn packed_engine_sharded_sessions_match_independent_detectors() {
     let mut rng = SmallRng::seed_from_u64(42);

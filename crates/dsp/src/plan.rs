@@ -27,10 +27,13 @@
 //! through the [`crate::simd`] dispatch (AVX2/NEON with scalar fallback,
 //! honouring `THNT_KERNEL` exactly like the packed inference kernels).
 //!
-//! Two entry points share the frame arithmetic: [`MfccPlan::compute_into`] is
-//! serial, what the detector and every serving shard (serving's only
-//! parallelism) call per window; [`MfccPlan::compute_into_par`] fans the
-//! frames out over `tensor::par` workers for offline callers.
+//! Two drivers share the frame arithmetic. [`MfccPlan::compute_frames_into`]
+//! is serial and extracts any trailing run of a window's frames: the
+//! serving path (the streaming detector and every serving shard, serving's
+//! only parallelism) calls it per window with the frames the previous
+//! window did not already cover, and [`MfccPlan::compute_into`] is the same
+//! call over every frame. [`MfccPlan::compute_into_par`] fans the frames out
+//! over `tensor::par` workers for offline callers.
 
 use thnt_tensor::{parallel_zip_chunks, Tensor};
 
@@ -50,8 +53,9 @@ use crate::window::hann_window;
 /// immutable and freely shared).
 #[derive(Debug, Clone)]
 pub struct MfccScratch {
-    /// Pre-emphasized signal (filled only when pre-emphasis is enabled;
-    /// grown to the signal length and reused across calls).
+    /// Pre-emphasized samples of the frames being extracted (filled only
+    /// when pre-emphasis is enabled; grown to the longest span and reused
+    /// across calls).
     emph: Vec<f32>,
     /// Per-frame buffers.
     bufs: FrameBufs,
@@ -217,19 +221,34 @@ impl MfccPlan {
         }
     }
 
-    /// Applies pre-emphasis into `emph` and returns the signal to frame —
-    /// a borrow of `audio` itself when pre-emphasis is disabled (no copy).
-    fn preemphasized<'a>(&self, audio: &'a [f32], emph: &'a mut Vec<f32>) -> &'a [f32] {
+    /// The sample range `start..end` that frames `first..frames` read.
+    fn frame_span(&self, first: usize, frames: usize) -> (usize, usize) {
+        let c = &self.config;
+        (first * c.hop, (frames - 1) * c.hop + c.frame_len)
+    }
+
+    /// Applies pre-emphasis to `audio[start..end]` into `emph` and returns
+    /// it — a borrow of that range of `audio` itself when pre-emphasis is
+    /// disabled (no copy). Sample 0 has no predecessor and passes through;
+    /// every other sample, the first of a range included, subtracts `a×`
+    /// its predecessor, so any range matches the same samples of a
+    /// whole-signal pass bit for bit.
+    fn preemphasized<'a>(
+        &self,
+        audio: &'a [f32],
+        (start, end): (usize, usize),
+        emph: &'a mut Vec<f32>,
+    ) -> &'a [f32] {
         let a = self.config.preemphasis;
         if a <= 0.0 {
-            return audio;
+            return &audio[start..end];
         }
         emph.clear();
-        emph.reserve(audio.len());
-        emph.extend(
-            std::iter::once(audio.first().copied().unwrap_or(0.0))
-                .chain(audio.windows(2).map(|w| w[1] - a * w[0])),
-        );
+        emph.reserve(end - start);
+        if start == 0 {
+            emph.extend(audio.first());
+        }
+        emph.extend(audio[start.max(1) - 1..end].windows(2).map(|w| w[1] - a * w[0]));
         emph
     }
 
@@ -237,22 +256,51 @@ impl MfccPlan {
     /// values into `out` and returns the frame count. Zero allocation in
     /// steady state (the scratch is reused).
     ///
-    /// This is what the whole serving path calls per window: the
-    /// streaming detector and the shard workers call it, and parallelism
-    /// comes from the shards. [`Self::compute_into_par`] is the offline
-    /// alternative.
+    /// This is [`Self::compute_frames_into`] from frame 0.
+    /// [`Self::compute_into_par`] is the offline alternative.
     ///
     /// # Panics
     ///
     /// Panics if `out.len()` is not `num_frames(audio.len()) * num_coeffs`.
     pub fn compute_into(&self, scratch: &mut MfccScratch, audio: &[f32], out: &mut [f32]) -> usize {
+        self.compute_frames_into(scratch, audio, 0, out)
+    }
+
+    /// Extracts frames `first..` of `audio` serially into their rows of
+    /// `out`, the whole `num_frames × num_coeffs` map, and returns the frame
+    /// count. Rows before `first` are left as they are, and pre-emphasis
+    /// runs only over the samples frames `first..` read. Every row written
+    /// equals the same row of [`Self::compute_into`] bit for bit.
+    ///
+    /// This is what the whole serving path calls per window: the
+    /// streaming detector and the shard workers copy the rows a window
+    /// shares with the previous one and extract only the rest, and
+    /// parallelism comes from the shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not `num_frames(audio.len()) * num_coeffs`
+    /// or `first` exceeds the frame count.
+    pub fn compute_frames_into(
+        &self,
+        scratch: &mut MfccScratch,
+        audio: &[f32],
+        first: usize,
+        out: &mut [f32],
+    ) -> usize {
         let c = &self.config;
         let frames = c.num_frames(audio.len());
         assert_eq!(out.len(), frames * c.num_coeffs, "output buffer size mismatch");
+        assert!(first <= frames, "first frame {first} is past the {frames} frames of the signal");
+        if first == frames {
+            return frames;
+        }
+        let span = self.frame_span(first, frames);
         let MfccScratch { emph, bufs } = scratch;
-        let signal = self.preemphasized(audio, emph);
-        for (f, row) in out.chunks_mut(c.num_coeffs).enumerate() {
-            self.frame_into(bufs, &signal[f * c.hop..f * c.hop + c.frame_len], row);
+        let signal = self.preemphasized(audio, span, emph);
+        for (f, row) in out.chunks_mut(c.num_coeffs).enumerate().skip(first) {
+            let at = f * c.hop - span.0;
+            self.frame_into(bufs, &signal[at..at + c.frame_len], row);
         }
         frames
     }
@@ -277,7 +325,7 @@ impl MfccPlan {
         if frames == 0 {
             return 0;
         }
-        let signal = self.preemphasized(audio, &mut scratch.emph);
+        let signal = self.preemphasized(audio, self.frame_span(0, frames), &mut scratch.emph);
         parallel_zip_chunks(out, c.num_coeffs, |f0, chunk| {
             let mut bufs = self.frame_bufs();
             for (df, row) in chunk.chunks_mut(c.num_coeffs).enumerate() {
@@ -349,6 +397,38 @@ mod tests {
         let par = plan.compute(&audio);
         // Frames are fully independent; the drivers must agree bitwise.
         assert_eq!(serial, par.data());
+    }
+
+    #[test]
+    fn trailing_frames_match_the_whole_window_bit_for_bit() {
+        for preemphasis in [0.97, 0.0] {
+            let cfg = MfccConfig { preemphasis, ..MfccConfig::paper() };
+            let plan = MfccPlan::new(cfg);
+            let mut scratch = plan.scratch();
+            let audio = chirp(16_000);
+            let mut whole = vec![0.0f32; 49 * 10];
+            plan.compute_into(&mut scratch, &audio, &mut whole);
+            for first in 0..=49 {
+                // Rows before `first` must come back untouched.
+                let mut out = vec![f32::NAN; 49 * 10];
+                assert_eq!(plan.compute_frames_into(&mut scratch, &audio, first, &mut out), 49);
+                let (kept, written) = out.split_at(first * 10);
+                assert!(kept.iter().all(|v| v.is_nan()), "rows before {first} were written");
+                let want = &whole[first * 10..];
+                assert!(
+                    written.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "frames {first}.. differ from the whole window (preemphasis {preemphasis})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 49 frames")]
+    fn rejects_a_first_frame_past_the_signal() {
+        let plan = MfccPlan::new(MfccConfig::paper());
+        let mut out = vec![0.0f32; 49 * 10];
+        plan.compute_frames_into(&mut plan.scratch(), &[0.0; 16_000], 50, &mut out);
     }
 
     #[test]

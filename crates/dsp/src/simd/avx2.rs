@@ -45,6 +45,9 @@ pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     let (pa, pb) = (a.as_ptr(), b.as_ptr());
     let (mut acc0, mut acc1) = (_mm256_setzero_ps(), _mm256_setzero_ps());
     let mut i = 0usize;
+    // SAFETY: every load reads 8 floats at `i` or `i + 8` with `i + 16 <= n`
+    // (or `i + 8 <= n` below), and `n == a.len() == b.len()`, which
+    // `DspDispatch::dot` asserts before dispatching here.
     while i + 16 <= n {
         acc0 = _mm256_add_ps(
             acc0,
@@ -130,6 +133,9 @@ pub(super) unsafe fn ln_eps(src: &[f32], dst: &mut [f32]) {
     let n = src.len();
     let eps = _mm256_set1_ps(LOG_EPS);
     let mut i = 0usize;
+    // SAFETY: each step loads and stores 8 floats at `i` with `i + 8 <= n`,
+    // and `n == src.len() == dst.len()`, which `DspDispatch::ln_eps` asserts
+    // before dispatching here.
     while i + 8 <= n {
         let v = _mm256_add_ps(_mm256_loadu_ps(src.as_ptr().add(i)), eps);
         _mm256_storeu_ps(dst.as_mut_ptr().add(i), ln_ps(v));

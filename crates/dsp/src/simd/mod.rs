@@ -188,10 +188,11 @@ impl DspDispatch {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the slices differ in length.
+    /// Panics if the slices differ in length: the SIMD loops read
+    /// `a.len()` floats from both.
     #[inline]
     pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len(), "dot operand length mismatch");
+        assert_eq!(a.len(), b.len(), "dot operand length mismatch");
         match self.kernel {
             DspKernel::Scalar => dot_scalar(a, b),
             #[cfg(target_arch = "x86_64")]
@@ -212,10 +213,11 @@ impl DspDispatch {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the slices differ in length.
+    /// Panics if the slices differ in length: the SIMD loops write
+    /// `src.len()` floats to `dst`.
     #[inline]
     pub fn ln_eps(&self, src: &[f32], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len(), "ln_eps operand length mismatch");
+        assert_eq!(src.len(), dst.len(), "ln_eps operand length mismatch");
         match self.kernel {
             DspKernel::Scalar => ln_eps_scalar(src, dst),
             #[cfg(target_arch = "x86_64")]
@@ -306,6 +308,20 @@ mod tests {
                 assert!((l - want).abs() < 1e-5, "{k} ln_eps[{i}]: {l} vs {want}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "dot operand length mismatch")]
+    fn dot_rejects_operands_of_different_lengths() {
+        // Wide enough that a SIMD loop over `a` would read far past `b`.
+        DspDispatch::get().dot(&[1.0; 64], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ln_eps operand length mismatch")]
+    fn ln_eps_rejects_operands_of_different_lengths() {
+        // Wide enough that a SIMD loop over `src` would write past `dst`.
+        DspDispatch::get().ln_eps(&[1.0; 16], &mut [0.0; 4]);
     }
 
     #[test]

@@ -29,6 +29,9 @@ pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     let (pa, pb) = (a.as_ptr(), b.as_ptr());
     let (mut acc0, mut acc1) = (vdupq_n_f32(0.0), vdupq_n_f32(0.0));
     let mut i = 0usize;
+    // SAFETY: every load reads 4 floats at `i` or `i + 4` with `i + 8 <= n`
+    // (or `i + 4 <= n` below), and `n == a.len() == b.len()`, which
+    // `DspDispatch::dot` asserts before dispatching here.
     while i + 8 <= n {
         acc0 = vaddq_f32(acc0, vmulq_f32(vld1q_f32(pa.add(i)), vld1q_f32(pb.add(i))));
         acc1 = vaddq_f32(acc1, vmulq_f32(vld1q_f32(pa.add(i + 4)), vld1q_f32(pb.add(i + 4))));
@@ -101,6 +104,9 @@ pub(super) unsafe fn ln_eps(src: &[f32], dst: &mut [f32]) {
     let n = src.len();
     let eps = vdupq_n_f32(LOG_EPS);
     let mut i = 0usize;
+    // SAFETY: each step loads and stores 4 floats at `i` with `i + 4 <= n`,
+    // and `n == src.len() == dst.len()`, which `DspDispatch::ln_eps` asserts
+    // before dispatching here.
     while i + 4 <= n {
         let v = vaddq_f32(vld1q_f32(src.as_ptr().add(i)), eps);
         vst1q_f32(dst.as_mut_ptr().add(i), ln_q(v));

@@ -121,8 +121,9 @@ const KIND_AFFINE: u8 = 3;
 const KIND_RELU: u8 = 4;
 const KIND_GAP: u8 = 5;
 
-/// Highest `META` sample rate a loader accepts, in Hz. One second of audio
-/// sizes every session's ring, so the rate bounds a per-session allocation.
+/// Highest `META` sample rate a loader accepts, in Hz. A window is one
+/// second of audio, so the rate sets its frame count and bounds the rows
+/// each session holds per open window.
 const MAX_SAMPLE_RATE: f32 = 48_000.0;
 /// Largest `META` FFT size a loader accepts. It bounds the FFT tables and,
 /// through `num_mel <= fft_size / 2 + 1`, the mel filterbank.
@@ -938,9 +939,9 @@ fn decode_meta(buf: &[u8]) -> io::Result<InferenceMeta> {
     if mfcc.sample_rate <= 0.0 || mfcc.frame_len == 0 || mfcc.hop == 0 {
         return Err(invalid_data("META: MFCC geometry must be positive"));
     }
-    // The fields also size allocations — one second of audio per session
-    // ring, the FFT tables, the mel filterbank — so a corrupt value must not
-    // ask for terabytes.
+    // The fields also size allocations — the feature rows of every window a
+    // session has open, the FFT tables, the mel filterbank — so a corrupt
+    // value must not ask for terabytes.
     if mfcc.sample_rate > MAX_SAMPLE_RATE || mfcc.fft_size > MAX_FFT_SIZE {
         return Err(invalid_data(format!(
             "META: sample rate {} Hz / fft_size {} exceed the {MAX_SAMPLE_RATE} Hz / \
@@ -1390,8 +1391,8 @@ mod tests {
         }
     }
 
-    /// META fields size allocations (the session ring, the FFT and mel
-    /// tables) and the feature map the front end gets. Both loaders refuse
+    /// META fields size allocations (a session's window rows, the FFT and
+    /// mel tables) and the feature map the front end gets. Both loaders refuse
     /// a META that would abort the process on a terabyte allocation or
     /// panic on the first window; whatever they accept from a flipped
     /// `sample_rate` or `num_mel` bit serves one window.
@@ -1409,7 +1410,7 @@ mod tests {
         };
         let flip = |v: f32, bit: u32| f32::from_bits(v.to_bits() ^ (1 << bit));
         for (what, mfcc) in [
-            ("a 6.9e13 Hz ring", MfccConfig { sample_rate: flip(paper.sample_rate, 28), ..paper }),
+            ("a 6.9e13 Hz rate", MfccConfig { sample_rate: flip(paper.sample_rate, 28), ..paper }),
             ("2^30 + 40 mel filters", MfccConfig { num_mel: paper.num_mel ^ (1 << 30), ..paper }),
             ("no frame in the window", MfccConfig { frame_len: 32_768, fft_size: 32_768, ..paper }),
             ("a map narrower than the first kernel", MfccConfig { num_coeffs: 1, ..paper }),

@@ -81,7 +81,7 @@ pub use serve::{
     ServedDetection, ServerStats, SessionId, ShardSnapshot, ShardedStreamServer,
 };
 pub use st_hybrid::StHybridNet;
-pub use streaming::{Detection, SessionState, StreamingConfig, StreamingDetector};
+pub use streaming::{Detection, StreamingConfig, StreamingDetector};
 pub use train::{
     anneal_sharpness, train_hybrid, train_st_generic, train_st_hybrid, train_with_hooks,
     StTrainOutcome,

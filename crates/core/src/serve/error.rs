@@ -66,7 +66,7 @@ pub enum ServeError {
     UnknownSession(SessionId),
     /// The feed buffer contains a non-finite sample (`NaN` or `±inf`) at
     /// `offset`. The call consumed nothing: no sample reached the session's
-    /// ring, so the caller may clean the buffer and re-submit it whole.
+    /// stream, so the caller may clean the buffer and re-submit it whole.
     NonFiniteAudio {
         /// The session whose feed was refused.
         session: SessionId,

@@ -8,17 +8,20 @@
 //! one server that does: N worker threads, each owning a shard engine that
 //! multiplexes its slice of the sessions over shared
 //! [`InferenceBackend`](thnt_nn::InferenceBackend) references. Each session
-//! keeps only the cheap per-stream state
-//! ([`SessionState`](crate::streaming::SessionState) ring + posterior
-//! history); the expensive shared pieces — the MFCC extractor and the
-//! models — exist once per shard and once in total. Sessions pin to shards
+//! keeps only the cheap per-stream state: one frame of samples, the feature
+//! rows of the windows it has started, and its posterior history. The
+//! expensive shared pieces — the MFCC plan and the models — exist once per
+//! shard and once in total. Sessions pin to shards
 //! (`shard = session_id % shards`) and are fed through bounded
-//! [`crossbeam::channel`]s; a shard extracts features, runs one batched
-//! inference call per model and demuxes detections when its batch reaches
-//! [`ServeConfig::max_batch`], when [`ServeConfig::flush_deadline`] elapses
-//! on a partial batch (adaptive deadline batching), or at an explicit
-//! [`ShardedStreamServer::flush`] barrier. [`ServeConfig::deterministic`]
-//! flushes only at barriers — the mode the oracle tests use.
+//! [`crossbeam::channel`]s. A shard extracts each MFCC frame as a feed
+//! delivers its last sample, and queues each due window as its finished
+//! feature map (1960 B at the paper's 49×10), never as audio. It runs one
+//! batched inference call per model and demuxes detections when its batch
+//! reaches [`ServeConfig::max_batch`], when [`ServeConfig::flush_deadline`]
+//! elapses on a partial batch (adaptive deadline batching), or at an
+//! explicit [`ShardedStreamServer::flush`] barrier.
+//! [`ServeConfig::deterministic`] flushes only at barriers — the mode the
+//! oracle tests use.
 //!
 //! Batching and sharding never change results: every backend row is
 //! computed independently of its batch neighbours and every session is
@@ -38,8 +41,8 @@
 //!   for unknown/closed sessions, non-finite audio, session limits, unknown
 //!   models, and dead shards.
 //! * **Input hardening.** A feed buffer containing `NaN`/`±inf` is rejected
-//!   atomically — no sample of it reaches the ring, the shared MFCC plan, or
-//!   a batched inference that healthy sessions share.
+//!   atomically — no sample of it reaches the session's stream, the shared
+//!   MFCC plan, or a batched inference that healthy sessions share.
 //! * **Bounded queues.** Per-session pending-window queues are capped
 //!   ([`ServeConfig::queue_bound`]) with an explicit [`OverflowPolicy`];
 //!   the ingestion channels are bounded too
@@ -47,7 +50,8 @@
 //!   producer instead of growing memory.
 //! * **Degraded-mode flushes.** A per-flush latency budget
 //!   ([`ServeConfig::tick_budget`]) deterministically sheds the oldest
-//!   pending windows *before* feature extraction.
+//!   pending windows *before* inference. Their features were extracted as
+//!   their audio arrived, so shedding saves inference only.
 //! * **Fault isolation.** Inference runs through
 //!   [`InferenceBackend::infer_isolated`](thnt_nn::InferenceBackend::infer_isolated):
 //!   a backend call that panics, returns wrong-arity logits, or emits

@@ -1,8 +1,9 @@
 //! The shard engine behind [`ShardedStreamServer`]: one worker's slice of
-//! the sessions — their audio rings, frame caches, pending windows and
-//! posterior histories — multiplexed over shared backends with
-//! cross-session batched inference, bounded queues, and per-row fault
-//! isolation.
+//! the sessions — their frame streams, pending windows and posterior
+//! histories — multiplexed over shared backends with cross-session batched
+//! inference, bounded queues, and per-row fault isolation. Features are
+//! extracted as audio is fed; a pending window carries its finished
+//! feature map, not its audio.
 //!
 //! Crate-private. The front door validates every session, model and feed
 //! buffer before a command reaches a shard, so the engine returns nothing a
@@ -16,23 +17,18 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
-use thnt_dsp::Mfcc;
 use thnt_nn::{softmax, InferenceBackend};
 use thnt_tensor::Tensor;
 
 use crate::serve::error::{ModelId, ServeError, SessionId};
 use crate::serve::sharded::{ModelSpec, OverflowPolicy, ServeConfig, ShardSnapshot};
 use crate::serve::stats::{LatencyHistogram, ServedDetection, ServerStats};
-use crate::streaming::{push_vote, Detection, FrameCache, SessionState, StreamingConfig};
+use crate::streaming::{push_vote, Detection, FrameStream, FrontEnd, StreamingConfig};
 
-/// Per-session serving state: the audio ring, the features of the last
-/// extracted window, the posterior vote, and the session's share of the
-/// pending queue.
+/// Per-session serving state: the frame stream, the posterior vote, and the
+/// session's share of the pending queue.
 struct Session {
-    state: SessionState,
-    /// Features of the session's last extracted window, shared with its
-    /// next one.
-    frames: FrameCache,
+    stream: FrameStream,
     recent: VecDeque<Vec<f32>>,
     /// Windows this session currently has in the pending queue — the
     /// quantity [`ServeConfig::queue_bound`] bounds.
@@ -41,7 +37,7 @@ struct Session {
     model: usize,
 }
 
-/// A due window snapshotted out of a session's ring, awaiting the next
+/// A due window's finished feature map, awaiting the next
 /// [`StreamServer::tick`]. Carries its model index so per-model accounting
 /// survives the session closing before the tick, and its due time so served
 /// windows record feed-to-vote latency.
@@ -50,21 +46,18 @@ struct PendingWindow {
     model: usize,
     at_sample: usize,
     queued_at: Instant,
-    audio: Vec<f32>,
+    /// The normalised `frames × coeffs` rows.
+    features: Vec<f32>,
 }
 
-/// One hosted model: the shared backend reference, its MFCC front-end and
-/// normalisation statistics, the derived batch geometry, and the model's
-/// ledger cell on this shard.
+/// One hosted model: the shared backend reference, its front end (the
+/// MFCC plan, workspace and normalisation statistics every session of the
+/// model on this shard extracts with), and the model's ledger cell on this
+/// shard.
 struct ModelEntry<'m, B: InferenceBackend + ?Sized> {
     backend: &'m B,
-    mfcc: Mfcc,
+    front: FrontEnd,
     num_keywords: usize,
-    norm_mean: Vec<f32>,
-    norm_std: Vec<f32>,
-    window_len: usize,
-    frames: usize,
-    coeffs: usize,
     stats: ServerStats,
 }
 
@@ -73,25 +66,17 @@ impl<'m, B: InferenceBackend + ?Sized> ModelEntry<'m, B> {
     /// contract documented on
     /// [`ShardedStreamServer::run`](crate::serve::ShardedStreamServer::run).
     fn new(spec: &ModelSpec<'m, B>, config: &StreamingConfig) -> Self {
-        let coeffs = spec.mfcc.num_coeffs;
-        assert_eq!(spec.norm_mean.len(), coeffs, "mean length mismatch");
-        assert_eq!(spec.norm_std.len(), coeffs, "std length mismatch");
+        let front = FrontEnd::new(spec.mfcc, spec.norm_mean.clone(), spec.norm_std.clone());
         let classes = spec.backend.num_classes();
         assert!(
             classes > config.suppress_trailing,
             "backend has {classes} classes but {} are suppressed — nothing can be detected",
             config.suppress_trailing
         );
-        let window_len = spec.mfcc.sample_rate as usize;
         Self {
             backend: spec.backend,
-            mfcc: Mfcc::new(spec.mfcc),
+            front,
             num_keywords: classes - config.suppress_trailing,
-            norm_mean: spec.norm_mean.clone(),
-            norm_std: spec.norm_std.clone(),
-            window_len,
-            frames: spec.mfcc.num_frames(window_len),
-            coeffs,
             stats: ServerStats::default(),
         }
     }
@@ -113,8 +98,7 @@ pub(crate) struct StreamServer<'m, B: InferenceBackend + ?Sized> {
     /// Max windows inferred per tick (the latency budget); `0` = unbounded.
     tick_budget: usize,
     sessions: HashMap<u64, Session>,
-    /// Due windows in arrival order, raw audio; features are extracted at
-    /// tick time.
+    /// Due windows in arrival order, each with its finished features.
     pending: Vec<PendingWindow>,
     /// Feed-to-vote latency of served windows.
     latency: LatencyHistogram,
@@ -127,7 +111,8 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
     /// # Panics
     ///
     /// Panics if a model's statistics do not have one entry per MFCC
-    /// coefficient, or its backend's class count does not exceed
+    /// coefficient, its sample rate makes a window of no samples, or its
+    /// backend's class count does not exceed
     /// [`StreamingConfig::suppress_trailing`].
     pub(crate) fn new(
         shard: usize,
@@ -161,8 +146,7 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
             return Err(ServeError::UnknownSession(SessionId::from_raw(id)));
         }
         let session = Session {
-            state: SessionState::new(entry.window_len),
-            frames: FrameCache::default(),
+            stream: FrameStream::new(&entry.front, self.config.hop),
             recent: VecDeque::new(),
             queued: 0,
             model: model.raw() as usize,
@@ -171,7 +155,7 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
         Ok(())
     }
 
-    /// Closes a session, dropping its buffered audio. Windows it still has
+    /// Closes a session, dropping its frame stream. Windows it still has
     /// queued are accounted `windows_closed` at the next [`Self::tick`].
     pub(crate) fn close(&mut self, id: u64) {
         self.sessions.remove(&id);
@@ -189,21 +173,22 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
         self.pending.len()
     }
 
-    /// Feeds audio into session `id`'s stream. Every window that becomes due
-    /// is snapshotted and queued for the next [`Self::tick`], subject to the
-    /// queue bound and the [`OverflowPolicy`]. Feeding is cheap — all
-    /// feature extraction and inference happens batched in `tick`. An id
-    /// this shard does not hold is ignored.
+    /// Feeds audio into session `id`'s frame stream, extracting each MFCC
+    /// frame as its last sample arrives. Every window that becomes due
+    /// queues its finished features for the next [`Self::tick`], subject to
+    /// the queue bound and the [`OverflowPolicy`]; inference happens
+    /// batched in `tick`. A window the policy drops has still paid for its
+    /// new frames, which later windows may share. An id this shard does not
+    /// hold is ignored.
     pub(crate) fn feed(&mut self, id: u64, samples: &[f32]) {
         let bound = self.queue_bound;
         let policy = self.overflow;
-        let Self { config, sessions, pending, models, .. } = self;
+        let Self { sessions, pending, models, .. } = self;
         let Some(session) = sessions.get_mut(&id) else { return };
         let model = session.model;
-        let stats = &mut models[model].stats;
-        let now = Instant::now();
-        let Session { state, queued, .. } = session;
-        state.feed(samples, config.hop, |window, at_sample| {
+        let ModelEntry { front, stats, .. } = &mut models[model];
+        let Session { stream, queued, .. } = session;
+        stream.feed(front, samples, |features, at_sample| {
             stats.windows_fed += 1;
             if bound > 0 && *queued >= bound {
                 match policy {
@@ -226,22 +211,20 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
                 session: id,
                 model,
                 at_sample,
-                queued_at: now,
-                audio: window.to_vec(),
+                queued_at: Instant::now(),
+                features,
             });
             *queued += 1;
         });
     }
 
-    /// Serves the pending windows: sheds down to the tick budget (oldest
-    /// first, before any feature extraction), extracts MFCC features window
-    /// by window on the calling thread through each session's frame cache
-    /// (in arrival order, so a window shares frames with the session's
-    /// previous extracted one), runs batched inference per model
-    /// through [`InferenceBackend::infer_isolated`] (at most `max_batch`
-    /// windows per call), quarantines windows whose logits are unusable,
-    /// applies each surviving session's smoothing vote in arrival order, and
-    /// returns the detections demuxed per session.
+    /// Serves the pending windows, whose features were extracted at feed
+    /// time: sheds down to the tick budget (oldest first, saving their
+    /// inference), runs batched inference per model through
+    /// [`InferenceBackend::infer_isolated`] (at most `max_batch` windows per
+    /// call), quarantines windows whose logits are unusable, applies each
+    /// surviving session's smoothing vote in arrival order, and returns the
+    /// detections demuxed per session.
     ///
     /// Windows whose session was closed after queueing are dropped. A
     /// backend call that panics or returns malformed logits is contained at
@@ -257,7 +240,7 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
         let mut pending = std::mem::take(&mut self.pending);
         // Every taken window leaves its session's queue, whatever its fate;
         // a session closed between feed and tick drops its windows before
-        // extraction, so closed streams cost nothing.
+        // inference.
         for window in &pending {
             match self.sessions.get_mut(&window.session) {
                 Some(session) => session.queued = session.queued.saturating_sub(1),
@@ -266,8 +249,7 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
         }
         pending.retain(|w| self.sessions.contains_key(&w.session));
         // Latency budget: infer at most `tick_budget` windows, shedding the
-        // globally oldest first — stale audio is the cheapest to lose, and
-        // shedding happens before the MFCC work it saves.
+        // globally oldest first — stale audio is the cheapest to lose.
         if self.tick_budget > 0 && pending.len() > self.tick_budget {
             let shed = pending.len() - self.tick_budget;
             for window in pending.drain(..shed) {
@@ -288,26 +270,10 @@ impl<'m, B: InferenceBackend + ?Sized> StreamServer<'m, B> {
             if idxs.is_empty() {
                 continue;
             }
-            let per = model.frames * model.coeffs;
-            let mut batch = Tensor::zeros(&[idxs.len(), 1, model.frames, model.coeffs]);
-            // One plan and one scratch: each window's features come from its
-            // session's frame cache into its row of the batch tensor. The
-            // parallelism axis is shards, so extraction stays serial.
-            let plan = model.mfcc.plan();
-            let mut scratch = plan.scratch();
-            for (&w, row) in idxs.iter().zip(batch.data_mut().chunks_mut(per)) {
-                let window = &pending[w];
-                // Every window left in `pending` has a live session.
-                if let Some(session) = self.sessions.get_mut(&window.session) {
-                    row.copy_from_slice(session.frames.features(
-                        plan,
-                        &mut scratch,
-                        &window.audio,
-                        window.at_sample,
-                        &model.norm_mean,
-                        &model.norm_std,
-                    ));
-                }
+            let (frames, coeffs) = model.front.shape();
+            let mut batch = Tensor::zeros(&[idxs.len(), 1, frames, coeffs]);
+            for (&w, row) in idxs.iter().zip(batch.data_mut().chunks_mut(frames * coeffs)) {
+                row.copy_from_slice(&pending[w].features);
             }
             // Fault-isolated inference: a panicking / wrong-arity /
             // NaN-emitting backend call quarantines only its own rows.
@@ -510,7 +476,7 @@ mod tests {
         let backend = Probe { classes: 6 };
         let mut server = small_server(&backend);
         for id in open(&mut server, 4) {
-            // 3000 samples: ring fills at 2000, next window at 2500, 3000.
+            // 3000 samples: windows end at 2000, 2500 and 3000.
             server.feed(id, &tone(200.0, 3_000));
         }
         assert_eq!(server.pending_windows(), 12);

@@ -1,5 +1,5 @@
 //! The serving front door: [`ShardedStreamServer`] pins sessions to N
-//! worker shards, each owning a shard engine (its slice of ring buffers and
+//! worker shards, each owning a shard engine (its slice of frame streams and
 //! pending-window queues), fed through bounded [`crossbeam::channel`]s,
 //! with adaptive deadline batching and one stats ledger cell per
 //! shard × model.
@@ -10,7 +10,7 @@
 //!                    bounded cmd channel          worker thread (one per shard)
 //!  caller ──open──▸ ┌──────────────────┐   ┌──────────────────────────────────┐
 //!   id % N = shard  │ Open/Feed/Close  │──▸│ shard engine                     │
-//!         ──feed──▸ │ Refused/Flush/   │   │  rings · pending · MFCC · infer  │
+//!         ──feed──▸ │ Refused/Flush/   │   │  MFCC frames · pending · infer   │
 //!                   │ Snapshot         │   │  one ServerStats cell per model  │
 //!                   └──────────────────┘   └──────────────┬───────────────────┘
 //!                                                         │ Vec<ServedDetection>
@@ -131,9 +131,10 @@ pub struct ServeConfig {
     /// Policy when a due window meets a full session queue.
     pub overflow: OverflowPolicy,
     /// Max windows one shard infers per flush — the latency budget. When
-    /// more are pending, the **oldest** are shed before any feature
-    /// extraction and counted in [`ServerStats::windows_shed`]. `0` =
-    /// unbounded.
+    /// more are pending, the **oldest** are shed before inference and
+    /// counted in [`ServerStats::windows_shed`]. Shedding saves inference
+    /// only: every offered window's new frames were extracted as its audio
+    /// arrived. `0` = unbounded.
     pub tick_budget: usize,
     /// Max concurrent sessions across all shards (enforced at the
     /// front door); `0` = unbounded.
@@ -248,8 +249,8 @@ enum Cmd {
     Close { session: u64 },
     /// Count a feed the front door refused against a model's cell.
     Refused { model: usize },
-    /// Buffer audio into a session's ring; due windows join the shard's
-    /// pending queue under the configured admission policy.
+    /// Extract a session's new frames from the audio; due windows join the
+    /// shard's pending queue under the configured admission policy.
     Feed { session: u64, samples: Vec<f32> },
     /// Flush the shard's pending batch now and acknowledge. Detections are
     /// emitted before the ack, so a post-barrier drain sees them all.
@@ -259,8 +260,8 @@ enum Cmd {
 }
 
 /// The serving front door: sessions pinned to N worker shards,
-/// bounded-channel ingestion, per-shard batched MFCC + inference with
-/// deadline batching, and one ledger cell per shard × model.
+/// bounded-channel ingestion, per-shard MFCC as audio arrives and batched
+/// inference with deadline batching, and one ledger cell per shard × model.
 ///
 /// Built with [`ShardedStreamServer::run`], which scopes the worker
 /// threads: the closure receives the front-door handle, and every worker is
@@ -328,8 +329,9 @@ impl ShardedStreamServer {
     /// # Panics
     ///
     /// Panics if `models` is empty, if a model's statistics do not have one
-    /// entry per MFCC coefficient, or if its backend's class count does not
-    /// exceed [`StreamingConfig::suppress_trailing`] — all before any worker
+    /// entry per MFCC coefficient, if its sample rate makes a window of no
+    /// samples, or if its backend's class count does not exceed
+    /// [`StreamingConfig::suppress_trailing`] — all before any worker
     /// starts. Re-raises the panic of a worker that died (see
     /// [`ServeError::ShardUnavailable`]) once `f` has returned and the
     /// workers are joined.
@@ -396,7 +398,7 @@ impl ShardedStreamServer {
         ModelId::new(0)
     }
 
-    /// The shard that owns `id`'s ring buffer, pending windows, and
+    /// The shard that owns `id`'s frame stream, pending windows, and
     /// detections (`id % shards`; fixed for the session's life).
     pub fn shard_of(&self, id: SessionId) -> usize {
         (id.raw() % self.cmd.len() as u64) as usize
@@ -462,9 +464,10 @@ impl ShardedStreamServer {
     }
 
     /// Feeds audio into `id`'s stream via its shard's bounded channel.
-    /// Admission (queue bounds, overflow policy, window accounting) runs on
-    /// the worker; a feed into a saturated shard blocks until the worker
-    /// drains — that blocking *is* the backpressure.
+    /// Feature extraction and admission (queue bounds, overflow policy,
+    /// window accounting) run on the worker; a feed into a saturated shard
+    /// blocks until the worker drains — that blocking *is* the
+    /// backpressure.
     ///
     /// # Errors
     ///

@@ -9,21 +9,19 @@
 //! engine ([`crate::engine::PackedStHybrid`]), including one reloaded from a
 //! `.thnt2` artifact with no training stack in the process:
 //!
-//! * maintains a one-second circular buffer of audio,
-//! * every `hop` samples, computes the MFCC features of the window that
-//!   ends there — only the frames the previous window did not already
-//!   cover,
+//! * extracts each MFCC frame once, as soon as its last sample arrives,
+//!   keeping only the samples of the frames still being filled,
+//! * every `hop` samples, runs the finished features of the one-second
+//!   window that ends there through the backend,
 //! * mean-smooths the posteriors of the last `smoothing` windows,
 //! * reports a detection only when the smoothed class is a keyword and its
 //!   confidence clears `threshold`.
 //!
-//! The per-stream buffering lives in [`SessionState`] so that the
-//! multi-session server ([`crate::serve::ShardedStreamServer`]) can reuse it: the
-//! ring is index-based (head pointer plus wrap-aware window extraction into
-//! a reusable scratch buffer), so pushing a sample is a single write — no
-//! per-sample shifting — and the per-window cost collapses to MFCC plus
-//! backend inference. The server keeps the per-stream frame cache the same
-//! way.
+//! The per-stream state is a crate-private frame stream, which the
+//! multi-session server ([`crate::serve::ShardedStreamServer`]) keeps per
+//! session too: one frame of pre-emphasised samples plus the feature rows
+//! of the windows not yet due. At the paper's geometry and default hop that
+//! is about 7 KB, and no window of audio is ever held.
 //!
 //! The backend is held by shared reference: inference is `&self`, so one
 //! compiled engine can serve many concurrent detectors.
@@ -35,7 +33,7 @@
 
 use std::collections::VecDeque;
 
-use thnt_dsp::{Mfcc, MfccConfig, MfccPlan, MfccScratch};
+use thnt_dsp::{MfccConfig, MfccPlan, MfccScratch};
 use thnt_nn::{softmax, InferenceBackend};
 use thnt_tensor::Tensor;
 
@@ -46,13 +44,13 @@ use crate::artifact::InferenceMeta;
 pub struct StreamingConfig {
     /// Samples between successive inferences (default: 8000 = 0.5 s).
     ///
-    /// A hop that is a multiple of the MFCC frame stride lets consecutive
-    /// windows share frames: each window then extracts only the frames the
-    /// previous one did not cover (the default is 25 strides of the paper's
-    /// 320-sample stride, so 25 of 49 frames). Any other hop extracts every
-    /// frame of every window.
+    /// Each frame is extracted once, however many windows read it. A hop
+    /// that is a multiple of the MFCC frame stride makes consecutive
+    /// windows share frames: the default is 25 strides of the paper's
+    /// 320-sample stride, so each window adds 25 new frames to the 24 it
+    /// shares. Any other hop extracts every window's frames once.
     pub hop: usize,
-    /// Number of recent windows in the majority vote.
+    /// Number of recent windows in the majority vote; 0 is treated as 1.
     pub smoothing: usize,
     /// Minimum smoothed posterior for a detection.
     pub threshold: f32,
@@ -82,101 +80,6 @@ pub struct Detection {
     pub at_sample: usize,
 }
 
-/// Per-stream audio buffering: an index-based circular window buffer plus
-/// the hop bookkeeping that decides when a window is due for inference.
-///
-/// Appending a sample is one array write (the head pointer wraps); the
-/// window is materialised contiguously only when due, with at most two
-/// `copy_from_slice` calls into a reusable scratch buffer. This is the state
-/// a serving layer keeps **per session**, while the expensive parts (the
-/// MFCC extractor and the inference backend) are shared across sessions —
-/// see [`crate::serve::ShardedStreamServer`].
-#[derive(Debug, Clone)]
-pub struct SessionState {
-    ring: Vec<f32>,
-    /// Next write position; once the ring is full this is also the position
-    /// of the oldest sample.
-    head: usize,
-    filled: usize,
-    since_infer: usize,
-    consumed: usize,
-    /// Scratch the due window is unwrapped into.
-    window: Vec<f32>,
-}
-
-impl SessionState {
-    /// Creates an empty state for windows of `window_len` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_len` is zero.
-    pub fn new(window_len: usize) -> Self {
-        assert!(window_len > 0, "window length must be positive");
-        Self {
-            ring: vec![0.0; window_len],
-            head: 0,
-            filled: 0,
-            since_infer: 0,
-            consumed: 0,
-            window: vec![0.0; window_len],
-        }
-    }
-
-    /// Total samples consumed over the lifetime of the stream.
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Window length in samples.
-    pub fn window_len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Feeds `samples`, invoking `on_window(window, at_sample)` for every
-    /// window that becomes due: the buffer is full and `hop` samples arrived
-    /// since the previous due window. `window` is the contiguous last
-    /// `window_len` samples, `at_sample` the stream position at its end.
-    ///
-    /// The loop copies samples in trigger-boundary-sized chunks, so the cost
-    /// is O(samples) plus the callback — not O(samples × window).
-    pub fn feed<F: FnMut(&[f32], usize)>(&mut self, samples: &[f32], hop: usize, mut on_window: F) {
-        let len = self.ring.len();
-        let mut rest = samples;
-        while !rest.is_empty() {
-            // Samples until the next possible trigger: the buffer must be
-            // full AND a full hop must have elapsed. `.max(1)` keeps a
-            // degenerate hop of 0 (trigger every sample) from stalling.
-            let fill_deficit = len - self.filled;
-            let hop_deficit = hop.saturating_sub(self.since_infer);
-            let need = fill_deficit.max(hop_deficit).max(1);
-            let take = need.min(rest.len());
-            let (chunk, tail) = rest.split_at(take);
-            rest = tail;
-            if take >= len {
-                // The chunk overwrites the whole ring; only its tail lands.
-                self.ring.copy_from_slice(&chunk[take - len..]);
-                self.head = 0;
-            } else {
-                let first = take.min(len - self.head);
-                self.ring[self.head..self.head + first].copy_from_slice(&chunk[..first]);
-                self.ring[..take - first].copy_from_slice(&chunk[first..]);
-                self.head = (self.head + take) % len;
-            }
-            self.filled = (self.filled + take).min(len);
-            self.since_infer += take;
-            self.consumed += take;
-            if take == need {
-                self.since_infer = 0;
-                // Unwrap the circular contents: oldest sample sits at head.
-                let split = len - self.head;
-                self.window[..split].copy_from_slice(&self.ring[self.head..]);
-                self.window[split..].copy_from_slice(&self.ring[..self.head]);
-                on_window(&self.window, self.consumed);
-            }
-        }
-    }
-}
-
 /// Standardises feature rows in place: `v ← (v − mean[c]) / std[c]`, row
 /// by row.
 fn normalize_in_place(data: &mut [f32], mean: &[f32], std: &[f32]) {
@@ -188,81 +91,231 @@ fn normalize_in_place(data: &mut [f32], mean: &[f32], std: &[f32]) {
     }
 }
 
-/// One stream's last normalised feature map and the stream position at its
-/// end — the state that lets consecutive windows share MFCC frames.
-///
-/// Frame `j` of a window is frame `j + s` of the window that ended `s`
-/// frame strides earlier: both read the same samples, and pre-emphasis
-/// differs only on the new window's very first sample, which the periodic
-/// Hann window's first tap (exactly `0.0`) removes before the spectrum.
-/// Normalisation is per row, so the normalised rows carry over too. When a
-/// window ends `s` strides after the cached one with `0 < s < frames`,
-/// [`Self::features`] therefore copies the `frames − s` shared rows and
-/// extracts only the last `s`. Every other window extracts all of its
-/// frames through the same call: a stream's first window, a window whose
-/// step from the cached one is not a whole number of strides, and one that
-/// moved on by `frames` strides or more — at the default hop, every window
-/// after a dropped or shed one. For finite audio the rows are bit for bit
-/// those of extracting the whole window; a non-finite sample poisons the
-/// frames that read it either way.
-///
-/// [`StreamingDetector`] keeps one per stream and every serving shard one
-/// per session. A new cache allocates nothing until its first window.
-#[derive(Debug, Default)]
-pub(crate) struct FrameCache {
-    /// The last window's normalised `frames × coeffs` rows; empty until the
-    /// first window.
-    rows: Vec<f32>,
-    /// Stream position at the end of that window.
-    at_sample: usize,
+/// What a [`FrameStream`] extracts with: the MFCC plan, a reusable
+/// workspace, the per-coefficient normalisation, and the window geometry.
+/// [`StreamingDetector`] holds one, and every serving shard holds one per
+/// model; the streams fed through it hold only their own samples and rows.
+pub(crate) struct FrontEnd {
+    plan: MfccPlan,
+    scratch: MfccScratch,
+    /// The row of the frame being extracted (`num_coeffs`).
+    row: Vec<f32>,
+    norm_mean: Vec<f32>,
+    norm_std: Vec<f32>,
+    /// Samples per analysis window: one second at the configured rate.
+    window: usize,
+    /// Frames per window.
+    frames: usize,
 }
 
-impl FrameCache {
-    /// How many leading frames of the `frames`-frame window ending at
-    /// `at_sample` are the trailing frames of the cached one — `frames − s`
-    /// when it ends `s` whole strides later and `0 < s < frames`, else `0`.
-    fn shared_frames(&self, config: &MfccConfig, frames: usize, at_sample: usize) -> usize {
-        if self.rows.len() != frames * config.num_coeffs {
-            return 0;
-        }
-        match at_sample.checked_sub(self.at_sample) {
-            Some(step) if step > 0 && step.checked_rem(config.hop) == Some(0) => {
-                frames.saturating_sub(step / config.hop)
-            }
-            _ => 0,
+impl FrontEnd {
+    /// Builds the front end of `config` with its normalisation statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the statistics do not have one entry per MFCC coefficient,
+    /// if the sample rate makes a window of no samples, or on an MFCC
+    /// configuration [`MfccPlan::new`] rejects.
+    pub(crate) fn new(config: MfccConfig, norm_mean: Vec<f32>, norm_std: Vec<f32>) -> Self {
+        assert_eq!(norm_mean.len(), config.num_coeffs, "mean length mismatch");
+        assert_eq!(norm_std.len(), config.num_coeffs, "std length mismatch");
+        let window = config.sample_rate as usize;
+        assert!(window > 0, "window length must be positive");
+        let plan = MfccPlan::new(config);
+        Self {
+            scratch: plan.scratch(),
+            row: vec![0.0; config.num_coeffs],
+            frames: config.num_frames(window),
+            window,
+            plan,
+            norm_mean,
+            norm_std,
         }
     }
 
-    /// The normalised features of `window`, the samples that end at stream
-    /// position `at_sample`, as `frames × coeffs` rows.
-    pub(crate) fn features(
-        &mut self,
-        plan: &MfccPlan,
-        scratch: &mut MfccScratch,
-        window: &[f32],
-        at_sample: usize,
-        norm_mean: &[f32],
-        norm_std: &[f32],
-    ) -> &[f32] {
-        let config = plan.config();
-        let (frames, coeffs) = (config.num_frames(window.len()), config.num_coeffs);
-        let shared = self.shared_frames(config, frames, at_sample);
-        if shared > 0 {
-            self.rows.copy_within((frames - shared) * coeffs.., 0);
-        } else {
-            self.rows.resize(frames * coeffs, 0.0);
+    /// A window's feature map shape: frames × coefficients.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.frames, self.row.len())
+    }
+}
+
+/// A window that has started but is not yet due.
+struct OpenWindow {
+    /// Stream position at its end.
+    end: usize,
+    /// Its normalised rows extracted so far, in frame order.
+    rows: Vec<f32>,
+}
+
+/// One stream's features in the making: the pre-emphasised samples that
+/// unextracted frames still read, and the rows of every window that has
+/// started but is not yet due.
+///
+/// Windows end where they always have: the first once `max(window, hop)`
+/// samples have arrived, then one every `max(hop, 1)` samples. A window
+/// opens when its first sample is next. Each sample is pre-emphasised once,
+/// on arrival, against its predecessor in the stream. Each distinct frame
+/// start that some window reads is extracted exactly once, when that
+/// frame's last sample arrives, and its normalised row is copied into every
+/// open window that reads it. A hop of whole frame strides therefore shares
+/// rows between consecutive windows, and any other hop extracts each
+/// window's frames once. A due window hands its finished rows over.
+///
+/// For finite audio the rows are bit for bit those of extracting the whole
+/// window with [`MfccPlan::compute_into`] and normalising it: the one
+/// sample pre-emphasised differently is a window's first, which has a
+/// predecessor in the stream but not in the window, and the periodic Hann
+/// window's first tap (exactly `0.0`) keeps it out of the spectrum. A
+/// non-finite sample poisons every frame that reads it, and through
+/// pre-emphasis a frame that starts right after it.
+///
+/// Memory: at most one frame of samples, in a buffer allocated once, one
+/// next start per frame of a window, and the rows of the open windows —
+/// `⌈window / max(hop, 1)⌉` of them. At the paper's geometry and default
+/// hop that is 2 560 B of samples, 392 B of starts and two windows of
+/// 1 960 B. A hop much shorter than a frame stride keeps many windows open:
+/// a 1-sample hop keeps one per sample of the window.
+///
+/// Fed only through the one [`FrontEnd`] it was made for.
+pub(crate) struct FrameStream {
+    /// Samples consumed over the stream's life.
+    consumed: usize,
+    /// The last sample consumed: the next one's pre-emphasis predecessor.
+    prev: Option<f32>,
+    /// Pre-emphasised samples `consumed − tail.len()..consumed`. Never
+    /// longer than one frame.
+    tail: Vec<f32>,
+    /// Samples between window ends: `max(hop, 1)`.
+    period: usize,
+    /// End of the next window to open.
+    next_end: usize,
+    /// For each frame index `j`, where frame `j` of the first window whose
+    /// frame `j` is not yet extracted starts. Equal entries are one frame
+    /// that several windows read.
+    next_start: Vec<usize>,
+    /// The least of `next_start`: where the next frame to extract starts.
+    /// `None` for a front end with no frames per window.
+    next_frame: Option<usize>,
+    /// Open windows, oldest first.
+    open: VecDeque<OpenWindow>,
+}
+
+impl FrameStream {
+    /// An empty stream through `front` at stream hop `hop`.
+    pub(crate) fn new(front: &FrontEnd, hop: usize) -> Self {
+        let config = front.plan.config();
+        let first_end = front.window.max(hop);
+        let first_start = first_end - front.window;
+        Self {
+            consumed: 0,
+            prev: None,
+            tail: Vec::with_capacity(config.frame_len),
+            period: hop.max(1),
+            next_end: first_end,
+            next_start: (0..front.frames).map(|j| first_start + j * config.hop).collect(),
+            next_frame: (front.frames > 0).then_some(first_start),
+            open: VecDeque::new(),
         }
-        plan.compute_frames_into(scratch, window, shared, &mut self.rows);
-        normalize_in_place(&mut self.rows[shared * coeffs..], norm_mean, norm_std);
-        self.at_sample = at_sample;
-        &self.rows
+    }
+
+    /// Total samples consumed over the lifetime of the stream.
+    pub(crate) fn consumed(&self) -> usize {
+        self.consumed
+    }
+
+    /// Feeds `samples`, invoking `on_window(features, at_sample)` for every
+    /// window that becomes due: `features` is its finished `frames ×
+    /// coeffs` normalised map, `at_sample` the stream position at its end.
+    pub(crate) fn feed<F: FnMut(Vec<f32>, usize)>(
+        &mut self,
+        front: &mut FrontEnd,
+        samples: &[f32],
+        mut on_window: F,
+    ) {
+        let mut rest = samples;
+        loop {
+            self.settle(front, &mut on_window);
+            if rest.is_empty() {
+                return;
+            }
+            // Up to the next event, samples are only appended.
+            let take = self.next_event(front).saturating_sub(self.consumed).min(rest.len());
+            let (chunk, tail) = rest.split_at(take);
+            rest = tail;
+            self.append(front, chunk);
+        }
+    }
+
+    /// The next stream position at which a frame completes, a window falls
+    /// due or a window opens.
+    fn next_event(&self, front: &FrontEnd) -> usize {
+        let completes = self.next_frame.map(|f| f + front.plan.config().frame_len);
+        let due = self.open.front().map(|w| w.end);
+        let opens = self.next_end - front.window;
+        [completes, due].into_iter().flatten().fold(opens, usize::min)
+    }
+
+    /// Handles the events at the current position, in order: the frame
+    /// that completes here is extracted into every open window that reads
+    /// it, the window that ends here is handed over, and the window that
+    /// starts here opens.
+    fn settle<F: FnMut(Vec<f32>, usize)>(&mut self, front: &mut FrontEnd, on_window: &mut F) {
+        let FrontEnd { plan, scratch, row, norm_mean, norm_std, window, frames } = front;
+        let (frame_len, stride) = (plan.config().frame_len, plan.config().hop);
+        if let Some(start) = self.next_frame.filter(|&f| f + frame_len == self.consumed) {
+            let at = start + self.tail.len() - self.consumed;
+            plan.frame_into(scratch, &self.tail[at..at + frame_len], row);
+            normalize_in_place(row, norm_mean, norm_std);
+            // The window that reads it as frame `j` starts `j` strides
+            // earlier; windows start `period` apart from the oldest open one.
+            let oldest = self.open.front().map_or(0, |w| w.end - *window);
+            let mut next_frame = usize::MAX;
+            for (j, next) in self.next_start.iter_mut().enumerate() {
+                if *next == start {
+                    let index = (start - j * stride - oldest) / self.period;
+                    if let Some(w) = self.open.get_mut(index) {
+                        w.rows.extend_from_slice(row);
+                    }
+                    *next += self.period;
+                }
+                next_frame = next_frame.min(*next);
+            }
+            self.next_frame = Some(next_frame);
+        }
+        if self.open.front().is_some_and(|w| w.end == self.consumed) {
+            if let Some(w) = self.open.pop_front() {
+                on_window(w.rows, w.end);
+            }
+        }
+        if self.next_end - *window == self.consumed {
+            let rows = Vec::with_capacity(*frames * row.len());
+            self.open.push_back(OpenWindow { end: self.next_end, rows });
+            self.next_end += self.period;
+        }
+    }
+
+    /// Consumes `chunk`, which holds no event: drops the samples that no
+    /// unextracted frame reads any more (none reads before `next_frame`)
+    /// and pre-emphasises the rest into the tail.
+    fn append(&mut self, front: &FrontEnd, chunk: &[f32]) {
+        let keep_from = self.next_frame.unwrap_or(usize::MAX);
+        let stale = keep_from.saturating_sub(self.consumed - self.tail.len());
+        self.tail.drain(..stale.min(self.tail.len()));
+        let skip = keep_from.saturating_sub(self.consumed).min(chunk.len());
+        let prev = match skip {
+            0 => self.prev,
+            s => Some(chunk[s - 1]),
+        };
+        front.plan.preemphasize_into(prev, &chunk[skip..], &mut self.tail);
+        self.prev = chunk.last().copied().or(self.prev);
+        self.consumed += chunk.len();
     }
 }
 
 /// Pushes one window's posteriors into the smoothing history and returns the
 /// `(class, confidence)` of the best smoothed class — the shared vote step
 /// of [`StreamingDetector`] and [`crate::serve::ShardedStreamServer`]'s
-/// shards.
+/// shards. The history keeps the last `smoothing` windows, at least one.
 ///
 /// NaN-safe: non-finite smoothed posteriors are ignored by the argmax, and
 /// `None` is returned when no class has a finite smoothed posterior (empty
@@ -277,7 +330,7 @@ pub(crate) fn push_vote(
     smoothing: usize,
 ) -> Option<(usize, f32)> {
     recent.push_back(probs.to_vec());
-    if recent.len() > smoothing {
+    if recent.len() > smoothing.max(1) {
         recent.pop_front();
     }
     // Smoothed posterior = mean over the recent windows.
@@ -306,20 +359,11 @@ pub(crate) fn push_vote(
 /// any [`InferenceBackend`].
 pub struct StreamingDetector<'m, B: InferenceBackend + ?Sized> {
     backend: &'m B,
-    mfcc: Mfcc,
+    front: FrontEnd,
     config: StreamingConfig,
     num_keywords: usize,
-    norm_mean: Vec<f32>,
-    norm_std: Vec<f32>,
-    state: SessionState,
+    stream: FrameStream,
     recent: VecDeque<Vec<f32>>,
-    /// The last window's features, shared with the next window.
-    frames: FrameCache,
-    /// Reusable MFCC workspace; no per-window allocation.
-    scratch: MfccScratch,
-    /// Reused `[1, 1, frames, coeffs]` input the frame cache's rows are
-    /// copied into.
-    input: Tensor,
 }
 
 impl<'m, B: InferenceBackend + ?Sized> StreamingDetector<'m, B> {
@@ -356,30 +400,20 @@ impl<'m, B: InferenceBackend + ?Sized> StreamingDetector<'m, B> {
         norm_mean: Vec<f32>,
         norm_std: Vec<f32>,
     ) -> Self {
-        assert_eq!(norm_mean.len(), mfcc_cfg.num_coeffs, "mean length mismatch");
-        assert_eq!(norm_std.len(), mfcc_cfg.num_coeffs, "std length mismatch");
+        let front = FrontEnd::new(mfcc_cfg, norm_mean, norm_std);
         let classes = backend.num_classes();
         assert!(
             classes > config.suppress_trailing,
             "backend has {classes} classes but {} are suppressed — nothing can be detected",
             config.suppress_trailing
         );
-        let window_len = mfcc_cfg.sample_rate as usize;
-        let frames = mfcc_cfg.num_frames(window_len);
-        let mfcc = Mfcc::new(mfcc_cfg);
-        let scratch = mfcc.plan().scratch();
         Self {
             backend,
-            mfcc,
+            stream: FrameStream::new(&front, config.hop),
+            front,
             config,
             num_keywords: classes - config.suppress_trailing,
-            norm_mean,
-            norm_std,
-            state: SessionState::new(window_len),
             recent: VecDeque::new(),
-            frames: FrameCache::default(),
-            scratch,
-            input: Tensor::zeros(&[1, 1, frames, mfcc_cfg.num_coeffs]),
         }
     }
 
@@ -403,24 +437,10 @@ impl<'m, B: InferenceBackend + ?Sized> StreamingDetector<'m, B> {
     /// Feeds audio samples; returns any detections they trigger.
     pub fn push(&mut self, samples: &[f32]) -> Vec<Detection> {
         let mut detections = Vec::new();
-        let Self {
-            backend,
-            mfcc,
-            config,
-            num_keywords,
-            norm_mean,
-            norm_std,
-            state,
-            recent,
-            frames,
-            scratch,
-            input,
-        } = self;
-        state.feed(samples, config.hop, |window, at_sample| {
-            let features =
-                frames.features(mfcc.plan(), scratch, window, at_sample, norm_mean, norm_std);
-            input.data_mut().copy_from_slice(features);
-            let logits = backend.infer(input);
+        let Self { backend, front, config, num_keywords, stream, recent } = self;
+        let (frames, coeffs) = front.shape();
+        stream.feed(front, samples, |features, at_sample| {
+            let logits = backend.infer(&Tensor::from_vec(features, &[1, 1, frames, coeffs]));
             let classes = logits.dims()[1];
             assert_eq!(
                 classes,
@@ -445,7 +465,7 @@ impl<B: InferenceBackend + ?Sized> std::fmt::Debug for StreamingDetector<'_, B> 
         f.debug_struct("StreamingDetector")
             .field("config", &self.config)
             .field("backend", &self.backend.backend_name())
-            .field("consumed", &self.state.consumed())
+            .field("consumed", &self.stream.consumed())
             .finish()
     }
 }
@@ -565,36 +585,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn session_state_windows_match_a_naive_shift_buffer() {
-        // Feed a counting signal in deliberately awkward chunk sizes and
-        // check every due window against a naive shift-register model.
-        let window_len = 100;
-        let hop = 30;
-        let mut state = SessionState::new(window_len);
-        let mut naive: Vec<f32> = vec![0.0; window_len];
-        let mut pushed = 0usize;
-        let mut due = Vec::new();
-        let signal: Vec<f32> = (0..1000).map(|i| i as f32).collect();
-        for chunk in signal.chunks(7) {
-            state.feed(chunk, hop, |w, at| due.push((w.to_vec(), at)));
-            for &s in chunk {
-                naive.rotate_left(1);
-                naive[window_len - 1] = s;
-                pushed += 1;
-            }
-        }
-        // Window k ends at sample 100 + k·30 (fill first, then every hop).
-        assert_eq!(due.len(), 1 + (pushed - window_len) / hop);
-        for (k, (w, at)) in due.iter().enumerate() {
-            let end = window_len + k * hop;
-            assert_eq!(*at, end);
-            let want: Vec<f32> = (end - window_len..end).map(|i| i as f32).collect();
-            assert_eq!(w, &want, "window {k} contents");
-        }
-        assert_eq!(state.consumed(), pushed);
-    }
-
-    #[test]
     fn nan_logits_detect_nothing_and_never_panic() {
         // A backend whose every logit is NaN: softmax propagates the NaN,
         // the vote abstains, and the stream keeps flowing.
@@ -647,102 +637,285 @@ pub(crate) mod tests {
         }
     }
 
-    /// Drives one [`FrameCache`] over `windows` random window ends of a
-    /// noisy chirp — whole-stride steps shorter than a window, off-stride
-    /// steps, and steps of `frames` strides or a whole window and more —
-    /// and checks that each window's rows equal extracting and normalising
-    /// that window from scratch, bit for bit, and that exactly the
-    /// whole-stride steps shorter than `frames` strides shared frames.
-    fn frame_cache_matches_whole_windows(config: MfccConfig, seed: u64, windows: usize) {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-
-        let plan = MfccPlan::new(config);
-        let (len, stride) = (config.sample_rate as usize, config.hop);
-        let (frames, coeffs) = (config.num_frames(len), config.num_coeffs);
-        let mean: Vec<f32> = (0..coeffs).map(|c| 0.3 * c as f32 - 1.0).collect();
-        let std: Vec<f32> = (0..coeffs).map(|c| 0.5 + 0.25 * c as f32).collect();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut ends = vec![len + rng.gen_range(0..3 * stride)];
-        let mut hits = 0;
-        for _ in 1..windows {
-            let step = match rng.gen_range(0..4) {
-                0 | 1 => stride * rng.gen_range(1..frames),
-                2 => stride * rng.gen_range(0..frames) + rng.gen_range(1..stride),
-                _ if rng.gen_range(0..2) == 0 => stride * rng.gen_range(frames..frames + 3),
-                _ => len + rng.gen_range(0..len),
-            };
-            ends.push(ends[ends.len() - 1] + step);
-        }
-        let stream: Vec<f32> = (0..ends[ends.len() - 1])
+    /// A noisy chirp: broadband, so no mel band sits at the log floor.
+    fn noisy_chirp(config: &MfccConfig, len: usize, rng: &mut impl rand::Rng) -> Vec<f32> {
+        (0..len)
             .map(|t| {
                 let phase = t as f32 / config.sample_rate;
                 (2.0 * std::f32::consts::PI * (90.0 + 70.0 * phase) * phase).sin() * 0.4
                     + rng.gen_range(-0.05f32..0.05)
             })
-            .collect();
+            .collect()
+    }
 
-        let (mut cache, mut scratch) = (FrameCache::default(), plan.scratch());
-        let mut prev: Option<usize> = None;
-        for (k, &end) in ends.iter().enumerate() {
-            let window = &stream[end - len..end];
-            let want_shared = match prev.map(|p| end - p) {
-                Some(step) if step % stride == 0 && step / stride < frames => {
-                    frames - step / stride
-                }
-                _ => 0,
-            };
-            assert_eq!(cache.shared_frames(&config, frames, end), want_shared, "window {k}");
-            hits += usize::from(want_shared > 0);
-            let mut want = vec![0.0f32; frames * coeffs];
-            plan.compute_into(&mut plan.scratch(), window, &mut want);
-            normalize_in_place(&mut want, &mean, &std);
-            let got = cache.features(&plan, &mut scratch, window, end, &mean, &std);
-            assert!(
-                got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "window {k} (ends at {end}, {want_shared} shared frames) differs (seed {seed})"
-            );
-            prev = Some(end);
+    /// Per-coefficient normalisation statistics that move every row.
+    fn test_norm(coeffs: usize) -> (Vec<f32>, Vec<f32>) {
+        let mean = (0..coeffs).map(|c| 0.3 * c as f32 - 1.0).collect();
+        let std = (0..coeffs).map(|c| 0.5 + 0.25 * c as f32).collect();
+        (mean, std)
+    }
+
+    /// Extracts and normalises one whole window from scratch.
+    fn whole_window_rows(
+        config: MfccConfig,
+        window: &[f32],
+        mean: &[f32],
+        std: &[f32],
+    ) -> Vec<f32> {
+        let plan = MfccPlan::new(config);
+        let mut rows = vec![0.0f32; config.num_frames(window.len()) * config.num_coeffs];
+        plan.compute_into(&mut plan.scratch(), window, &mut rows);
+        normalize_in_place(&mut rows, mean, std);
+        rows
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Feeds a noisy chirp through one [`FrameStream`] in random chunks of
+    /// 1 sample to more than a window, at a hop of kind `kind`: 0 whole
+    /// strides shorter than a window, 1 off the stride, 2 longer than a
+    /// window, 3 zero. Every due window must end where the window schedule
+    /// puts it, and its rows must equal extracting and normalising that
+    /// window's samples from scratch, bit for bit.
+    fn frame_stream_matches_whole_windows(config: MfccConfig, seed: u64, kind: usize) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (len, stride) = (config.sample_rate as usize, config.hop);
+        let (frames, coeffs) = (config.num_frames(len), config.num_coeffs);
+        let hop = match kind {
+            0 => stride * rng.gen_range(1..frames),
+            1 => stride * rng.gen_range(0..frames) + rng.gen_range(1..stride),
+            2 => len + rng.gen_range(1..len),
+            _ => 0,
+        };
+        let (first, period) = (len.max(hop), hop.max(1));
+        let total = first + 7 * period + rng.gen_range(0..period);
+        let stream = noisy_chirp(&config, total, &mut rng);
+        let (mean, std) = test_norm(coeffs);
+
+        let mut front = FrontEnd::new(config, mean.clone(), std.clone());
+        let mut frame_stream = FrameStream::new(&front, hop);
+        let mut due = Vec::new();
+        let mut fed = 0;
+        while fed < total {
+            let most = if rng.gen_bool(0.5) { stride } else { 2 * len };
+            let chunk = rng.gen_range(1..=most).min(total - fed);
+            frame_stream
+                .feed(&mut front, &stream[fed..fed + chunk], |rows, end| due.push((rows, end)));
+            fed += chunk;
         }
-        assert!(windows < 4 || hits > 0, "no window hit the cache (seed {seed})");
+        assert_eq!(frame_stream.consumed(), total);
+        let ends: Vec<usize> = due.iter().map(|&(_, end)| end).collect();
+        let want_ends: Vec<usize> = (0..8).map(|k| first + k * period).collect();
+        assert_eq!(ends, want_ends, "window ends at hop {hop} (seed {seed})");
+
+        for (rows, end) in &due {
+            let want = whole_window_rows(config, &stream[end - len..*end], &mean, &std);
+            assert!(
+                same_bits(rows, &want),
+                "window ending at {end} differs at hop {hop} (seed {seed})"
+            );
+        }
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(3))]
 
-        /// The frame cache on the paper's 49×10 front end.
+        /// The frame stream on the paper's 49×10 front end, at every
+        /// non-zero hop kind per case (hop 0 has its own test: it extracts
+        /// a frame per sample, which is slow in debug builds).
         #[test]
-        fn frame_cache_matches_whole_windows_on_the_paper_front_end(seed in 0u64..10_000) {
-            frame_cache_matches_whole_windows(MfccConfig::paper(), seed, 8);
+        fn frame_stream_matches_whole_windows_on_the_paper_front_end(seed in 0u64..10_000) {
+            for kind in 0..3 {
+                frame_stream_matches_whole_windows(MfccConfig::paper(), seed, kind);
+            }
         }
+    }
 
-        /// The frame cache on the serving tests' 256-stride front end.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// The frame stream on the serving tests' 256-stride front end, at
+        /// every hop kind per case.
         #[test]
-        fn frame_cache_matches_whole_windows_on_the_small_front_end(seed in 0u64..10_000) {
-            frame_cache_matches_whole_windows(small_mfcc(), seed, 24);
+        fn frame_stream_matches_whole_windows_on_the_small_front_end(seed in 0u64..10_000) {
+            for kind in 0..4 {
+                frame_stream_matches_whole_windows(small_mfcc(), seed, kind);
+            }
         }
     }
 
     #[test]
-    fn session_state_handles_chunks_larger_than_the_window() {
-        // A single chunk far larger than the ring: only the tail survives.
-        let mut state = SessionState::new(10);
-        let signal: Vec<f32> = (0..35).map(|i| i as f32).collect();
-        let mut windows = Vec::new();
-        state.feed(&signal, 10, |w, at| windows.push((w.to_vec(), at)));
-        // Triggers at samples 10, 20, 30 — then 5 leftover samples.
-        assert_eq!(windows.len(), 3);
-        for (k, (w, at)) in windows.iter().enumerate() {
-            let end = 10 * (k + 1);
-            assert_eq!(*at, end);
-            let want: Vec<f32> = (end - 10..end).map(|i| i as f32).collect();
-            assert_eq!(w, &want);
+    fn frame_stream_matches_whole_windows_at_hop_zero_on_the_paper_front_end() {
+        frame_stream_matches_whole_windows(MfccConfig::paper(), 11, 3);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// The rows the frame stream shares between windows on the serving
+        /// tests' 256-stride front end. At a hop of `k` whole strides
+        /// shorter than a window, fed in random chunks up to each window's
+        /// end, every window falls due at that end, its first `7 − k` rows
+        /// are its predecessor's last `7 − k`, and it equals a whole-window
+        /// extraction bit for bit.
+        #[test]
+        fn frame_cache_matches_whole_windows_on_the_small_front_end(seed in 0u64..10_000) {
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+
+            let config = small_mfcc();
+            let len = config.sample_rate as usize;
+            let (frames, coeffs) = (config.num_frames(len), config.num_coeffs);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let k = rng.gen_range(1..frames);
+            let hop = k * config.hop;
+            let audio = noisy_chirp(&config, len + 23 * hop, &mut rng);
+            let (mean, std) = test_norm(coeffs);
+            let mut front = FrontEnd::new(config, mean.clone(), std.clone());
+            let mut stream = FrameStream::new(&front, hop);
+            let mut fed = 0;
+            let mut prev: Option<Vec<f32>> = None;
+            for n in 0..24 {
+                let end = len + n * hop;
+                let mut due = Vec::new();
+                while fed < end {
+                    let chunk = rng.gen_range(1..=config.hop).min(end - fed);
+                    stream.feed(&mut front, &audio[fed..fed + chunk], |rows, at| due.push((rows, at)));
+                    fed += chunk;
+                }
+                proptest::prop_assert_eq!(due.len(), 1, "window {} at hop {}", n, hop);
+                let (rows, at) = due.pop().unwrap();
+                proptest::prop_assert_eq!(at, end);
+                if let Some(prev) = &prev {
+                    let shared = (frames - k) * coeffs;
+                    proptest::prop_assert!(
+                        same_bits(&rows[..shared], &prev[k * coeffs..]),
+                        "window {} shares no rows at hop {}", n, hop
+                    );
+                }
+                let want = whole_window_rows(config, &audio[end - len..end], &mean, &std);
+                proptest::prop_assert!(same_bits(&rows, &want), "window {} at hop {}", n, hop);
+                prev = Some(rows);
+            }
         }
-        // The next 5 samples complete the fourth hop.
-        let tail: Vec<f32> = (35..40).map(|i| i as f32).collect();
-        state.feed(&tail, 10, |w, at| windows.push((w.to_vec(), at)));
+    }
+
+    #[test]
+    fn session_state_windows_match_a_naive_shift_buffer() {
+        // Feed a chirp in deliberately awkward 7-sample chunks at an
+        // off-stride hop, and check every due window against a naive
+        // shift-register model of the last window's samples.
+        let config = small_mfcc();
+        let (window_len, hop) = (2_000, 300);
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(3);
+        let signal = noisy_chirp(&config, 5_000, &mut rng);
+        let (mean, std) = test_norm(config.num_coeffs);
+        let mut front = FrontEnd::new(config, mean.clone(), std.clone());
+        let mut stream = FrameStream::new(&front, hop);
+        let mut naive: Vec<f32> = vec![0.0; window_len];
+        let mut snapshots = Vec::new();
+        let mut pushed = 0usize;
+        let mut due = Vec::new();
+        for chunk in signal.chunks(7) {
+            stream.feed(&mut front, chunk, |rows, at| due.push((rows, at)));
+            for &s in chunk {
+                naive.rotate_left(1);
+                naive[window_len - 1] = s;
+                pushed += 1;
+                if pushed >= window_len && (pushed - window_len).is_multiple_of(hop) {
+                    snapshots.push((naive.clone(), pushed));
+                }
+            }
+        }
+        // Window k ends at sample 2000 + k·300 (fill first, then every hop).
+        assert_eq!(due.len(), 1 + (pushed - window_len) / hop);
+        assert_eq!(due.len(), snapshots.len());
+        for (k, ((rows, at), (naive, end))) in due.iter().zip(&snapshots).enumerate() {
+            assert_eq!(at, end, "window {k} end");
+            let want = whole_window_rows(config, naive, &mean, &std);
+            assert!(same_bits(rows, &want), "window {k} contents");
+        }
+        assert_eq!(stream.consumed(), pushed);
+    }
+
+    #[test]
+    fn session_state_handles_chunks_larger_than_the_window() {
+        // A single chunk of three and a half windows: only the samples of
+        // the frame in progress survive it.
+        let config = small_mfcc();
+        let window_len = 2_000;
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(5);
+        let signal = noisy_chirp(&config, 8_000, &mut rng);
+        let (mean, std) = test_norm(config.num_coeffs);
+        let mut front = FrontEnd::new(config, mean.clone(), std.clone());
+        let mut stream = FrameStream::new(&front, window_len);
+        let mut windows = Vec::new();
+        stream.feed(&mut front, &signal[..7_000], |rows, at| windows.push((rows, at)));
+        // Due at samples 2000, 4000 and 6000, with 1000 samples left over.
+        assert_eq!(windows.len(), 3);
+        assert!(stream.tail.len() <= config.frame_len, "{} samples kept", stream.tail.len());
+        assert!(stream.tail.capacity() <= config.frame_len, "{}", stream.tail.capacity());
+        // The next 1000 samples complete the fourth window.
+        stream.feed(&mut front, &signal[7_000..], |rows, at| windows.push((rows, at)));
         assert_eq!(windows.len(), 4);
-        assert_eq!(windows[3].1, 40);
-        assert_eq!(windows[3].0, (30..40).map(|i| i as f32).collect::<Vec<_>>());
+        for (k, (rows, at)) in windows.iter().enumerate() {
+            let end = window_len * (k + 1);
+            assert_eq!(*at, end);
+            let want = whole_window_rows(config, &signal[end - window_len..end], &mean, &std);
+            assert!(same_bits(rows, &want), "window {k} contents");
+        }
+    }
+
+    #[test]
+    fn a_stream_holds_one_frame_of_samples_plus_its_open_windows_rows() {
+        use rand::SeedableRng;
+
+        // Ten seconds of paper-geometry audio in hop-sized chunks: a sample
+        // buffer that ever held a whole chunk would keep that capacity.
+        let config = MfccConfig::paper();
+        let mut front = FrontEnd::new(config, vec![0.0; 10], vec![1.0; 10]);
+        let mut stream = FrameStream::new(&front, 8_000);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let audio = noisy_chirp(&config, 160_000, &mut rng);
+        let mut windows = 0;
+        for chunk in audio.chunks(8_000) {
+            stream.feed(&mut front, chunk, |rows, _| {
+                assert_eq!(rows.len(), 49 * 10);
+                windows += 1;
+            });
+            assert!(stream.tail.capacity() <= config.frame_len, "{}", stream.tail.capacity());
+            // ⌈16 000 / 8 000⌉ windows are open between feeds.
+            assert!(stream.open.len() <= 2, "{} open windows", stream.open.len());
+            for w in &stream.open {
+                assert!(w.rows.capacity() <= 49 * 10, "{}", w.rows.capacity());
+            }
+        }
+        // Windows end at 16 000, 24 000, …, 160 000.
+        assert_eq!(windows, 19);
+    }
+
+    #[test]
+    fn zero_smoothing_votes_like_one() {
+        let mut recent = VecDeque::new();
+        assert_eq!(push_vote(&mut recent, &[0.2, 0.8], 0), Some((1, 0.8)));
+        assert_eq!(push_vote(&mut recent, &[0.9, 0.1], 0), Some((0, 0.9)));
+        assert_eq!(recent.len(), 1);
+
+        let mut logits = vec![0.0f32; 12];
+        logits[3] = 10.0;
+        let model = Fixed(logits);
+        let detect = |smoothing| {
+            let config = StreamingConfig { hop: 8_000, smoothing, ..Default::default() };
+            StreamingDetector::new(&model, config, vec![0.0; 10], vec![1.0; 10])
+                .push(&vec![0.0; 40_000])
+        };
+        let once = detect(1);
+        assert_eq!(once.len(), 4, "windows at 16 000, 24 000, 32 000 and 40 000 detect");
+        assert_eq!(detect(0), once);
     }
 }

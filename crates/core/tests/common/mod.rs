@@ -65,10 +65,22 @@ pub fn small_mfcc() -> MfccConfig {
 
 /// The stream hops every serving schedule runs at, against
 /// [`small_mfcc`]'s 256-sample frame stride. At 500 no two windows share a
-/// frame, so every window extracts all 7 of its frames; 512 is two
-/// strides, so consecutive windows share 5 frames and the serving frame
-/// cache is hit.
+/// frame, so the server extracts all 7 frames of every window; 512 is two
+/// strides, so consecutive windows share 5 frames and each frame is
+/// extracted once for all the windows that read it.
 pub const HOPS: [usize; 2] = [500, 512];
+
+/// Ends of the windows that fall due while a stream's consumed sample count
+/// goes from `before` to `after`: the first once `max(window, hop)` samples
+/// have arrived, then one every `max(hop, 1)` samples. Written from that
+/// definition alone, so the oracles share no window code with the server;
+/// each window is then sliced out of the whole stream as
+/// `stream[end - window..end]`.
+pub fn window_ends(window: usize, hop: usize, before: usize, after: usize) -> Vec<usize> {
+    let (first, step) = (window.max(hop), hop.max(1));
+    let skip = if before < first { 0 } else { (before - first) / step + 1 };
+    (skip..).map(|k| first + k * step).take_while(|&end| end <= after).collect()
+}
 
 /// A deterministic test stream with enough structure that detections
 /// actually fire: a slow chirp (`f0 + df·t` Hz over a `sample_rate` clock)
@@ -157,10 +169,11 @@ impl PipelineOracle {
         let x = Tensor::from_vec(features, &[1, 1, frames, coeffs]);
         let probs_t = thnt_nn::softmax(&self.probe.infer(&x));
         let probs = probs_t.row(0);
-        // The serving layer's smoothing vote: mean over the recent windows,
-        // argmax keeping the last maximum among finite entries.
+        // The serving layer's smoothing vote: mean over the recent windows
+        // (at least one), argmax keeping the last maximum among finite
+        // entries.
         self.recent.push_back(probs.to_vec());
-        if self.recent.len() > cfg.smoothing {
+        if self.recent.len() > cfg.smoothing.max(1) {
             self.recent.pop_front();
         }
         let mut smoothed = vec![0.0f32; probs.len()];

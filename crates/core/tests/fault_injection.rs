@@ -17,12 +17,12 @@ mod common;
 use std::collections::HashMap;
 use std::sync::Once;
 
-use common::{chirp_stream, small_mfcc, Probe};
+use common::{chirp_stream, small_mfcc, window_ends, Probe};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use thnt_core::{
-    Detection, ModelSpec, ServeConfig, ServerStats, SessionId, SessionState, ShardedStreamServer,
+    Detection, ModelSpec, ServeConfig, ServerStats, SessionId, ShardedStreamServer,
     StreamingConfig, StreamingDetector,
 };
 use thnt_nn::{FaultMode, FaultyBackend, InferenceBackend};
@@ -105,13 +105,12 @@ fn window_energies(stream: &[f32]) -> Vec<f32> {
     let frames = small_mfcc().num_frames(2_000);
     let mut features = vec![0.0f32; frames * 10];
     let mut energies = Vec::new();
-    let mut state = SessionState::new(2_000);
-    state.feed(stream, config().hop, |window, _| {
-        plan.compute_into(&mut scratch, window, &mut features);
+    for end in window_ends(2_000, config().hop, 0, stream.len()) {
+        plan.compute_into(&mut scratch, &stream[end - 2_000..end], &mut features);
         let energy =
             features.iter().map(|v| ((v - MEAN) / STD).abs()).sum::<f32>() / features.len() as f32;
         energies.push(energy);
-    });
+    }
     energies
 }
 

@@ -23,13 +23,15 @@ mod common;
 
 use std::collections::{HashMap, VecDeque};
 
-use common::{assert_cells_reconcile, chirp_stream, small_mfcc, PipelineOracle, Probe, HOPS};
+use common::{
+    assert_cells_reconcile, chirp_stream, small_mfcc, window_ends, PipelineOracle, Probe, HOPS,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use thnt_core::{
-    Detection, ModelSpec, OverflowPolicy, ServeConfig, ServeError, SessionId, SessionState,
-    ShardedStreamServer, StreamingConfig,
+    Detection, ModelSpec, OverflowPolicy, ServeConfig, ServeError, SessionId, ShardedStreamServer,
+    StreamingConfig,
 };
 
 const WINDOW: usize = 2_000;
@@ -152,7 +154,7 @@ proptest! {
     /// simulated window-for-window alongside the server; the survivors are
     /// then pushed through the independent [`PipelineOracle`], which
     /// extracts every window from scratch — so at a hop on the frame
-    /// stride this also checks the server's frame cache across evictions.
+    /// stride this also checks the server's shared frames across evictions.
     #[test]
     fn drop_oldest_equals_unbounded_pipeline_on_surviving_windows(
         seed in 0u64..10_000,
@@ -169,27 +171,25 @@ proptest! {
             .map(|k| chirp_stream(rng.gen_range(4_000..8_000), seed ^ ((k as u64) << 11), 2_000.0, 90.0, 70.0))
             .collect();
 
-        // Parallel admission simulation: per-session ring + bounded queue.
+        // Parallel admission simulation: per-session stream so far +
+        // bounded queue, each due window sliced out of the whole stream.
         struct Sim {
-            state: SessionState,
+            audio: Vec<f32>,
             queue: VecDeque<(Vec<f32>, usize)>,
             survivors: Vec<(Vec<f32>, usize)>,
         }
         let mut sims: Vec<Sim> = (0..num_sessions)
-            .map(|_| Sim {
-                state: SessionState::new(WINDOW),
-                queue: VecDeque::new(),
-                survivors: Vec::new(),
-            })
+            .map(|_| Sim { audio: Vec::new(), queue: VecDeque::new(), survivors: Vec::new() })
             .collect();
         let admit = |sim: &mut Sim, audio: &[f32]| {
-            let Sim { state, queue, .. } = sim;
-            state.feed(audio, hop, |window, at_sample| {
-                if queue.len() >= bound {
-                    queue.pop_front(); // DropOldest admission
+            let before = sim.audio.len();
+            sim.audio.extend_from_slice(audio);
+            for end in window_ends(WINDOW, hop, before, sim.audio.len()) {
+                if sim.queue.len() >= bound {
+                    sim.queue.pop_front(); // DropOldest admission
                 }
-                queue.push_back((window.to_vec(), at_sample));
-            });
+                sim.queue.push_back((sim.audio[end - WINDOW..end].to_vec(), end));
+            }
         };
 
         let (mut served, ids, stats) =

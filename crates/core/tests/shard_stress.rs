@@ -25,7 +25,7 @@
 //! Every schedule here is deterministic (fixed seeds, explicit barriers in
 //! deterministic mode), so failures reproduce exactly, and runs at each of
 //! the stream hops in `common::HOPS` — one off the frame stride, one on it,
-//! so the shards' frame caches are hit. `THNT_SERVE_SHARDS` overrides the
+//! so the shards' windows share frames. `THNT_SERVE_SHARDS` overrides the
 //! default shard counts where locality doesn't depend on a specific
 //! topology.
 
@@ -36,12 +36,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
-use common::{assert_cells_reconcile, chirp_stream, small_mfcc, PipelineOracle, Probe, HOPS};
+use common::{
+    assert_cells_reconcile, chirp_stream, small_mfcc, window_ends, PipelineOracle, Probe, HOPS,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use thnt_core::{
     Detection, ModelId, ModelSpec, OverflowPolicy, ServeConfig, ServeError, ServerStats, SessionId,
-    SessionState, ShardedStreamServer, StreamingConfig, StreamingDetector,
+    ShardedStreamServer, StreamingConfig, StreamingDetector,
 };
 use thnt_nn::{FaultMode, FaultyBackend, InferenceBackend, IsolatedBatch};
 use thnt_tensor::Tensor;
@@ -151,7 +153,7 @@ fn drop_oldest_matches_unbounded_oracle_across_shards() {
 /// One [`drop_oldest_matches_unbounded_oracle_across_shards`] schedule at
 /// stream hop `hop`. The oracle extracts every surviving window from
 /// scratch, so at a hop on the frame stride this also checks the shards'
-/// frame caches across evictions.
+/// shared frames across evictions.
 fn drop_oldest_matches_unbounded_oracle_at(hop: usize) {
     let backend = Probe { classes: 8 };
     let bound = 2usize;
@@ -167,28 +169,26 @@ fn drop_oldest_matches_unbounded_oracle_at(hop: usize) {
         .map(|k| chirp_stream(6_000, seed ^ ((k as u64) << 11), 2_000.0, 90.0, 70.0))
         .collect();
 
-    // Parallel admission simulation: per-session ring + bounded queue, fed
-    // in lockstep with the server. Survivors are whatever a barrier drains.
+    // Parallel admission simulation: per-session stream so far + bounded
+    // queue, fed in lockstep with the server, each due window sliced out of
+    // the whole stream. Survivors are whatever a barrier drains.
     struct Sim {
-        state: SessionState,
+        audio: Vec<f32>,
         queue: VecDeque<(Vec<f32>, usize)>,
         survivors: Vec<(Vec<f32>, usize)>,
     }
     let mut sims: Vec<Sim> = (0..num_sessions)
-        .map(|_| Sim {
-            state: SessionState::new(WINDOW),
-            queue: VecDeque::new(),
-            survivors: Vec::new(),
-        })
+        .map(|_| Sim { audio: Vec::new(), queue: VecDeque::new(), survivors: Vec::new() })
         .collect();
     let admit = |sim: &mut Sim, audio: &[f32]| {
-        let Sim { state, queue, .. } = sim;
-        state.feed(audio, hop, |window, at_sample| {
-            if queue.len() >= bound {
-                queue.pop_front(); // DropOldest admission
+        let before = sim.audio.len();
+        sim.audio.extend_from_slice(audio);
+        for end in window_ends(WINDOW, hop, before, sim.audio.len()) {
+            if sim.queue.len() >= bound {
+                sim.queue.pop_front(); // DropOldest admission
             }
-            queue.push_back((window.to_vec(), at_sample));
-        });
+            sim.queue.push_back((sim.audio[end - WINDOW..end].to_vec(), end));
+        }
     };
 
     let spec = ModelSpec::new(&backend, small_mfcc(), norm_mean(), norm_std());
@@ -310,12 +310,11 @@ fn window_energies(stream: &[f32], hop: usize) -> Vec<f32> {
     let frames = small_mfcc().num_frames(WINDOW);
     let mut features = vec![0.0f32; frames * COEFFS];
     let mut energies = Vec::new();
-    let mut state = SessionState::new(WINDOW);
-    state.feed(stream, hop, |window, _| {
-        plan.compute_into(&mut scratch, window, &mut features);
+    for end in window_ends(WINDOW, hop, 0, stream.len()) {
+        plan.compute_into(&mut scratch, &stream[end - WINDOW..end], &mut features);
         let energy = features.iter().map(|v| v.abs()).sum::<f32>() / features.len() as f32;
         energies.push(energy);
-    });
+    }
     energies
 }
 

@@ -27,13 +27,16 @@
 //! through the [`crate::simd`] dispatch (AVX2/NEON with scalar fallback,
 //! honouring `THNT_KERNEL` exactly like the packed inference kernels).
 //!
-//! Two drivers share the frame arithmetic. [`MfccPlan::compute_frames_into`]
-//! is serial and extracts any trailing run of a window's frames: the
-//! serving path (the streaming detector and every serving shard, serving's
-//! only parallelism) calls it per window with the frames the previous
-//! window did not already cover, and [`MfccPlan::compute_into`] is the same
-//! call over every frame. [`MfccPlan::compute_into_par`] fans the frames out
-//! over `tensor::par` workers for offline callers.
+//! Two steps make up extraction, and both are public.
+//! [`MfccPlan::preemphasize_into`] is the one pre-emphasis formula, and
+//! [`MfccPlan::frame_into`] turns one frame of pre-emphasised samples into
+//! its row of coefficients. [`MfccPlan::compute_into`] runs them over a
+//! whole signal, serially. The serving path (the streaming detector and
+//! every serving shard, serving's only parallelism) runs them as audio
+//! arrives instead: each sample is pre-emphasised once, and each frame is
+//! extracted once, when its last sample arrives.
+//! [`MfccPlan::compute_into_par`] fans a whole signal's frames out over
+//! `tensor::par` workers for offline callers.
 
 use thnt_tensor::{parallel_zip_chunks, Tensor};
 
@@ -48,13 +51,13 @@ use crate::window::hann_window;
 ///
 /// Obtained from [`MfccPlan::scratch`]; sized for exactly that plan's
 /// geometry. One scratch serves any number of sequential
-/// [`MfccPlan::compute_into`] calls with zero steady-state allocation; for
-/// concurrent extraction give each worker its own (the plan itself is
-/// immutable and freely shared).
+/// [`MfccPlan::compute_into`] and [`MfccPlan::frame_into`] calls with zero
+/// steady-state allocation; for concurrent extraction give each worker its
+/// own (the plan itself is immutable and freely shared).
 #[derive(Debug, Clone)]
 pub struct MfccScratch {
-    /// Pre-emphasized samples of the frames being extracted (filled only
-    /// when pre-emphasis is enabled; grown to the longest span and reused
+    /// Pre-emphasized samples of the signal being extracted (filled only
+    /// when pre-emphasis is enabled; grown to the longest signal and reused
     /// across calls).
     emph: Vec<f32>,
     /// Per-frame buffers.
@@ -202,8 +205,51 @@ impl MfccPlan {
         }
     }
 
+    /// Appends the pre-emphasised `samples` to `out`: each sample minus
+    /// `preemphasis ×` its predecessor. The first sample's predecessor is
+    /// `prev`; with `None` (the start of a signal) it passes through. With
+    /// pre-emphasis disabled (`preemphasis <= 0`) the samples are appended
+    /// as they are.
+    ///
+    /// This is the one pre-emphasis formula. [`Self::compute_into`] applies
+    /// it to a whole signal; a stream applies it to each piece as it
+    /// arrives, passing the last sample of the piece before as `prev`, and
+    /// gets the same values bit for bit.
+    pub fn preemphasize_into(&self, prev: Option<f32>, samples: &[f32], out: &mut Vec<f32>) {
+        let a = self.config.preemphasis;
+        if a <= 0.0 {
+            out.extend_from_slice(samples);
+            return;
+        }
+        let Some(&first) = samples.first() else { return };
+        out.push(prev.map_or(first, |p| first - a * p));
+        out.extend(samples.windows(2).map(|w| w[1] - a * w[0]));
+    }
+
+    /// Extracts one frame of `frame_len` already pre-emphasised samples
+    /// (see [`Self::preemphasize_into`]) into its `num_coeffs`
+    /// coefficients: Hann window → real FFT → sparse mel → log → DCT GEMV.
+    ///
+    /// This is the per-frame step of [`Self::compute_into`]. A frame cut
+    /// from a stream's pre-emphasised samples therefore equals the matching
+    /// row of extracting any window that contains it, bit for bit, for
+    /// finite audio. That includes a window's frame 0, whose first sample a
+    /// stream pre-emphasises against a predecessor the window does not
+    /// hold: the periodic Hann window's first tap is exactly `0.0`, so that
+    /// sample never reaches the spectrum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is not `frame_len` samples long or `row` is not
+    /// `num_coeffs` long.
+    pub fn frame_into(&self, scratch: &mut MfccScratch, frame: &[f32], row: &mut [f32]) {
+        assert_eq!(frame.len(), self.config.frame_len, "frame length mismatch");
+        assert_eq!(row.len(), self.config.num_coeffs, "row length mismatch");
+        self.extract_frame(&mut scratch.bufs, frame, row);
+    }
+
     /// One frame through window → rfft → sparse mel → log → DCT GEMV.
-    fn frame_into(&self, bufs: &mut FrameBufs, frame: &[f32], row: &mut [f32]) {
+    fn extract_frame(&self, bufs: &mut FrameBufs, frame: &[f32], row: &mut [f32]) {
         let FrameBufs { windowed, fft, power, mel, logmel } = bufs;
         for ((w, &x), &h) in windowed.iter_mut().zip(frame).zip(&self.window) {
             *w = x * h;
@@ -221,34 +267,22 @@ impl MfccPlan {
         }
     }
 
-    /// The sample range `start..end` that frames `first..frames` read.
-    fn frame_span(&self, first: usize, frames: usize) -> (usize, usize) {
-        let c = &self.config;
-        (first * c.hop, (frames - 1) * c.hop + c.frame_len)
-    }
-
-    /// Applies pre-emphasis to `audio[start..end]` into `emph` and returns
-    /// it — a borrow of that range of `audio` itself when pre-emphasis is
-    /// disabled (no copy). Sample 0 has no predecessor and passes through;
-    /// every other sample, the first of a range included, subtracts `a×`
-    /// its predecessor, so any range matches the same samples of a
-    /// whole-signal pass bit for bit.
+    /// The samples the first `frames` (at least one) frames of `audio`
+    /// read, pre-emphasised into `emph` and returned — or borrowed from
+    /// `audio` itself when pre-emphasis is disabled (no copy).
     fn preemphasized<'a>(
         &self,
         audio: &'a [f32],
-        (start, end): (usize, usize),
+        frames: usize,
         emph: &'a mut Vec<f32>,
     ) -> &'a [f32] {
-        let a = self.config.preemphasis;
-        if a <= 0.0 {
-            return &audio[start..end];
+        let c = &self.config;
+        let audio = &audio[..(frames - 1) * c.hop + c.frame_len];
+        if c.preemphasis <= 0.0 {
+            return audio;
         }
         emph.clear();
-        emph.reserve(end - start);
-        if start == 0 {
-            emph.extend(audio.first());
-        }
-        emph.extend(audio[start.max(1) - 1..end].windows(2).map(|w| w[1] - a * w[0]));
+        self.preemphasize_into(None, audio, emph);
         emph
     }
 
@@ -256,51 +290,22 @@ impl MfccPlan {
     /// values into `out` and returns the frame count. Zero allocation in
     /// steady state (the scratch is reused).
     ///
-    /// This is [`Self::compute_frames_into`] from frame 0.
     /// [`Self::compute_into_par`] is the offline alternative.
     ///
     /// # Panics
     ///
     /// Panics if `out.len()` is not `num_frames(audio.len()) * num_coeffs`.
     pub fn compute_into(&self, scratch: &mut MfccScratch, audio: &[f32], out: &mut [f32]) -> usize {
-        self.compute_frames_into(scratch, audio, 0, out)
-    }
-
-    /// Extracts frames `first..` of `audio` serially into their rows of
-    /// `out`, the whole `num_frames × num_coeffs` map, and returns the frame
-    /// count. Rows before `first` are left as they are, and pre-emphasis
-    /// runs only over the samples frames `first..` read. Every row written
-    /// equals the same row of [`Self::compute_into`] bit for bit.
-    ///
-    /// This is what the whole serving path calls per window: the
-    /// streaming detector and the shard workers copy the rows a window
-    /// shares with the previous one and extract only the rest, and
-    /// parallelism comes from the shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not `num_frames(audio.len()) * num_coeffs`
-    /// or `first` exceeds the frame count.
-    pub fn compute_frames_into(
-        &self,
-        scratch: &mut MfccScratch,
-        audio: &[f32],
-        first: usize,
-        out: &mut [f32],
-    ) -> usize {
         let c = &self.config;
         let frames = c.num_frames(audio.len());
         assert_eq!(out.len(), frames * c.num_coeffs, "output buffer size mismatch");
-        assert!(first <= frames, "first frame {first} is past the {frames} frames of the signal");
-        if first == frames {
-            return frames;
+        if frames == 0 {
+            return 0;
         }
-        let span = self.frame_span(first, frames);
         let MfccScratch { emph, bufs } = scratch;
-        let signal = self.preemphasized(audio, span, emph);
-        for (f, row) in out.chunks_mut(c.num_coeffs).enumerate().skip(first) {
-            let at = f * c.hop - span.0;
-            self.frame_into(bufs, &signal[at..at + c.frame_len], row);
+        let signal = self.preemphasized(audio, frames, emph);
+        for (f, row) in out.chunks_mut(c.num_coeffs).enumerate() {
+            self.extract_frame(bufs, &signal[f * c.hop..f * c.hop + c.frame_len], row);
         }
         frames
     }
@@ -325,12 +330,12 @@ impl MfccPlan {
         if frames == 0 {
             return 0;
         }
-        let signal = self.preemphasized(audio, self.frame_span(0, frames), &mut scratch.emph);
+        let signal = self.preemphasized(audio, frames, &mut scratch.emph);
         parallel_zip_chunks(out, c.num_coeffs, |f0, chunk| {
             let mut bufs = self.frame_bufs();
             for (df, row) in chunk.chunks_mut(c.num_coeffs).enumerate() {
                 let f = f0 + df;
-                self.frame_into(&mut bufs, &signal[f * c.hop..f * c.hop + c.frame_len], row);
+                self.extract_frame(&mut bufs, &signal[f * c.hop..f * c.hop + c.frame_len], row);
             }
         });
         frames
@@ -400,35 +405,48 @@ mod tests {
     }
 
     #[test]
-    fn trailing_frames_match_the_whole_window_bit_for_bit() {
+    fn stream_preemphasised_frames_match_the_whole_window_bit_for_bit() {
         for preemphasis in [0.97, 0.0] {
             let cfg = MfccConfig { preemphasis, ..MfccConfig::paper() };
             let plan = MfccPlan::new(cfg);
             let mut scratch = plan.scratch();
-            let audio = chirp(16_000);
+            // The window starts 3000 samples into the stream, so the stream
+            // pre-emphasises its first sample against a predecessor the
+            // window does not hold.
+            let stream = chirp(20_000);
+            let start = 3_000;
             let mut whole = vec![0.0f32; 49 * 10];
-            plan.compute_into(&mut scratch, &audio, &mut whole);
-            for first in 0..=49 {
-                // Rows before `first` must come back untouched.
-                let mut out = vec![f32::NAN; 49 * 10];
-                assert_eq!(plan.compute_frames_into(&mut scratch, &audio, first, &mut out), 49);
-                let (kept, written) = out.split_at(first * 10);
-                assert!(kept.iter().all(|v| v.is_nan()), "rows before {first} were written");
-                let want = &whole[first * 10..];
+            plan.compute_into(&mut scratch, &stream[start..start + 16_000], &mut whole);
+            // Pre-emphasise the stream piece by piece, as it would arrive.
+            let mut emph = Vec::new();
+            let mut prev = None;
+            for piece in stream.chunks(777) {
+                plan.preemphasize_into(prev, piece, &mut emph);
+                prev = piece.last().copied();
+            }
+            let mut once = Vec::new();
+            plan.preemphasize_into(None, &stream, &mut once);
+            assert!(
+                emph.iter().zip(&once).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "piecewise pre-emphasis differs from one pass (preemphasis {preemphasis})"
+            );
+            let mut row = [0.0f32; 10];
+            for (f, want) in whole.chunks(10).enumerate() {
+                let at = start + f * cfg.hop;
+                plan.frame_into(&mut scratch, &emph[at..at + cfg.frame_len], &mut row);
                 assert!(
-                    written.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "frames {first}.. differ from the whole window (preemphasis {preemphasis})"
+                    row.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "frame {f} differs from the whole window (preemphasis {preemphasis})"
                 );
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "past the 49 frames")]
-    fn rejects_a_first_frame_past_the_signal() {
+    #[should_panic(expected = "frame length mismatch")]
+    fn rejects_a_frame_of_the_wrong_length() {
         let plan = MfccPlan::new(MfccConfig::paper());
-        let mut out = vec![0.0f32; 49 * 10];
-        plan.compute_frames_into(&mut plan.scratch(), &[0.0; 16_000], 50, &mut out);
+        plan.frame_into(&mut plan.scratch(), &[0.0; 639], &mut [0.0; 10]);
     }
 
     #[test]

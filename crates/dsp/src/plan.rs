@@ -13,7 +13,7 @@
 //!
 //! * the Hann window,
 //! * a real-input half-spectrum FFT plan ([`RealFft`]: bit-reversal and
-//!   twiddle tables, conjugate-symmetry unpacking),
+//!   split twiddle tables, conjugate-symmetry unpacking),
 //! * the mel filterbank as a **sparse band matrix** — each triangular
 //!   filter stored as `(start_bin, weights)` so applying it is one short
 //!   dot product instead of a 513-wide row scan,
@@ -23,7 +23,7 @@
 //! All per-frame temporaries (windowed frame, FFT scratch, power spectrum,
 //! mel energies, log buffer) live in a caller-owned reusable
 //! [`MfccScratch`], so a steady-state stream performs **no allocation per
-//! frame**. The mel accumulation, log-energy pass and DCT GEMV route
+//! frame**. The FFT, mel accumulation, log-energy pass and DCT GEMV route
 //! through the [`crate::simd`] dispatch (AVX2/NEON with scalar fallback,
 //! honouring `THNT_KERNEL` exactly like the packed inference kernels).
 //!
@@ -40,7 +40,6 @@
 
 use thnt_tensor::{parallel_zip_chunks, Tensor};
 
-use crate::fft::Complex;
 use crate::mel::mel_filterbank;
 use crate::mfcc::MfccConfig;
 use crate::rfft::RealFft;
@@ -69,8 +68,9 @@ pub struct MfccScratch {
 struct FrameBufs {
     /// Windowed frame samples (`frame_len`).
     windowed: Vec<f32>,
-    /// Complex FFT workspace (`fft_size / 2`).
-    fft: Vec<Complex>,
+    /// FFT workspace: the `fft_size / 2`-point complex signal split
+    /// `re | im` (`fft_size` floats).
+    fft: Vec<f32>,
     /// Half-spectrum power (`fft_size / 2 + 1`).
     power: Vec<f32>,
     /// Mel filter energies (`num_mel`).
@@ -112,7 +112,8 @@ pub struct MfccPlan {
     mel_weights: Vec<f32>,
     /// Folded orthonormal DCT-II: `num_coeffs × num_mel`, row-major.
     dct: Vec<f32>,
-    /// The SIMD backend the hot loops route through (resolved once).
+    /// The SIMD backend the hot loops route through (resolved once): the
+    /// FFT, the mel and DCT dot products and the log-energy pass.
     dispatch: DspDispatch,
 }
 
@@ -198,7 +199,7 @@ impl MfccPlan {
     fn frame_bufs(&self) -> FrameBufs {
         FrameBufs {
             windowed: vec![0.0; self.config.frame_len],
-            fft: vec![Complex::default(); self.rfft.scratch_len()],
+            fft: vec![0.0; self.rfft.scratch_len()],
             power: vec![0.0; self.rfft.num_bins()],
             mel: vec![0.0; self.config.num_mel],
             logmel: vec![0.0; self.config.num_mel],
@@ -254,7 +255,7 @@ impl MfccPlan {
         for ((w, &x), &h) in windowed.iter_mut().zip(frame).zip(&self.window) {
             *w = x * h;
         }
-        self.rfft.power_into(windowed, fft, power);
+        self.rfft.power_into_with(&self.dispatch, windowed, fft, power);
         for (m, e) in mel.iter_mut().enumerate() {
             let weights = &self.mel_weights[self.mel_off[m]..self.mel_off[m + 1]];
             let start = self.mel_start[m];

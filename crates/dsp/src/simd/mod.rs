@@ -1,11 +1,12 @@
 //! Runtime-dispatched SIMD primitives for the MFCC hot loops.
 //!
-//! [`crate::plan::MfccPlan`] spends its per-frame time in two dense f32
-//! loops: the sparse mel-band **dot products** (filter weights × power
-//! spectrum, and the folded DCT matrix × log energies) and the
-//! **log-energy** pass `ln(e + ε)` over the mel outputs. This module gives
-//! both a scalar reference and SIMD implementations behind the same
-//! dispatch discipline as `thnt_strassen::packed::kernel`:
+//! [`crate::plan::MfccPlan`] spends its per-frame time in three dense f32
+//! loops: the **real FFT** ([`crate::rfft::RealFft`]), the sparse mel-band
+//! **dot products** (filter weights × power spectrum, and the folded DCT
+//! matrix × log energies) and the **log-energy** pass `ln(e + ε)` over the
+//! mel outputs. This module gives each a scalar reference and SIMD
+//! implementations behind the same dispatch discipline as
+//! `thnt_strassen::packed::kernel`:
 //!
 //! * the backend is resolved **once** per process by [`DspDispatch::get`],
 //! * the `THNT_KERNEL` environment variable (`scalar` | `avx2` | `neon`)
@@ -24,11 +25,17 @@
 //! splitting (absolute error below ~1e-6 for the positive inputs the
 //! pipeline produces — two orders of magnitude inside the front-end's 1e-4
 //! feature tolerance). Within one backend, results are deterministic.
+//!
+//! The FFT is the exception: its kernels are element-wise, so every backend
+//! runs each butterfly's exact operations in the same order (no fused
+//! multiply-add, twiddles from the same tables) and the power spectrum is
+//! **bitwise identical across backends**. The `neon` backend runs the
+//! portable loops for it.
 
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
-mod avx2;
+pub(crate) mod avx2;
 
 #[cfg(target_arch = "aarch64")]
 mod neon;
@@ -42,11 +49,13 @@ pub const LOG_EPS: f32 = 1e-6;
 /// values, same loud-failure contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DspKernel {
-    /// Portable reference: left-to-right sums, `f32::ln` (always available).
+    /// Portable reference: left-to-right sums, `f32::ln`, portable FFT
+    /// loops (always available).
     Scalar,
-    /// 8-lane AVX2 dot products and polynomial log (x86_64 with AVX2).
+    /// 8-lane AVX2 FFT, dot products and polynomial log (x86_64 with AVX2).
     Avx2,
-    /// 4-lane NEON dot products and polynomial log (aarch64).
+    /// 4-lane NEON dot products and polynomial log, portable FFT loops
+    /// (aarch64).
     Neon,
 }
 

@@ -83,7 +83,7 @@ proptest! {
     ) {
         // Scratch reuse across calls must not leak state between signals.
         let plan = RealFft::new(128);
-        let mut scratch = vec![Complex::default(); plan.scratch_len()];
+        let mut scratch = vec![0.0f32; plan.scratch_len()];
         let mut out = vec![0.0f32; plan.num_bins()];
         plan.power_into(&signal, &mut scratch, &mut out);
         let first = out.clone();

@@ -3,7 +3,7 @@
 //! [`Mfcc`] is a thin wrapper over the planned pipeline in
 //! [`crate::plan`]: construction builds an [`MfccPlan`] (cached FFT
 //! tables, sparse mel bands, folded DCT matrix) and [`Mfcc::compute`]
-//! extracts frames in parallel through it. The original straight-line
+//! extracts frames serially through it. The original straight-line
 //! pipeline survives as [`ReferenceMfcc`] / [`reference_mfcc`] — the
 //! slow-but-obvious oracle the optimized path is tested and benchmarked
 //! against.
@@ -76,7 +76,7 @@ impl Default for MfccConfig {
 /// Construction precomputes the full pipeline plan (window, real-FFT
 /// tables, sparse mel filterbank, folded DCT matrix); [`Mfcc::compute`]
 /// then turns raw audio into a `[frames, num_coeffs]` tensor, extracting
-/// frames in parallel.
+/// frames serially.
 ///
 /// Pipeline: pre-emphasis → framing → Hann window → power spectrum → mel
 /// filterbank → `ln(energy + ε)` → DCT-II → truncate.

@@ -36,7 +36,9 @@
 //! arrives instead: each sample is pre-emphasised once, and each frame is
 //! extracted once, when its last sample arrives.
 //! [`MfccPlan::compute_into_par`] fans a whole signal's frames out over
-//! `tensor::par` workers for offline callers.
+//! `tensor::par` workers. It computes the same bits as the serial driver
+//! but is slower on small hosts, so [`MfccPlan::compute`] runs serially
+//! too.
 
 use thnt_tensor::{parallel_zip_chunks, Tensor};
 
@@ -291,7 +293,8 @@ impl MfccPlan {
     /// values into `out` and returns the frame count. Zero allocation in
     /// steady state (the scratch is reused).
     ///
-    /// [`Self::compute_into_par`] is the offline alternative.
+    /// [`Self::compute_into_par`] computes the same bits across
+    /// `tensor::par` workers.
     ///
     /// # Panics
     ///
@@ -342,14 +345,14 @@ impl MfccPlan {
         frames
     }
 
-    /// Allocating convenience wrapper: parallel extraction into a fresh
-    /// `[num_frames, num_coeffs]` tensor.
+    /// Allocating convenience wrapper: serial extraction
+    /// ([`Self::compute_into`]) into a fresh `[num_frames, num_coeffs]`
+    /// tensor.
     pub fn compute(&self, audio: &[f32]) -> Tensor {
         let c = self.config;
         let frames = c.num_frames(audio.len());
         let mut out = Tensor::zeros(&[frames, c.num_coeffs]);
-        let mut scratch = MfccScratch { emph: Vec::new(), bufs: self.frame_bufs() };
-        self.compute_into_par(&mut scratch, audio, out.data_mut());
+        self.compute_into(&mut self.scratch(), audio, out.data_mut());
         out
     }
 }
@@ -400,9 +403,10 @@ mod tests {
         let mut scratch = plan.scratch();
         let mut serial = vec![0.0f32; 49 * 10];
         plan.compute_into(&mut scratch, &audio, &mut serial);
-        let par = plan.compute(&audio);
+        let mut par = vec![0.0f32; 49 * 10];
+        plan.compute_into_par(&mut scratch, &audio, &mut par);
         // Frames are fully independent; the drivers must agree bitwise.
-        assert_eq!(serial, par.data());
+        assert_eq!(serial, par);
     }
 
     #[test]

@@ -32,9 +32,11 @@
 //! * **streaming**: the packed backend's streaming windows/sec beats the
 //!   dense backend's.
 //! * **scaling**: 4 shards serve 256 sessions on the packed engine at
-//!   least `0.7 · min(4, nproc)` times as fast as 1 shard. The threshold has
-//!   been measured only on 2-vCPU hosts; with 4 or more threads it asks for
-//!   2.8x, which no recorded run has checked yet.
+//!   least `0.7 · min(4, nproc)` times as fast as 1 shard. Both servers run
+//!   side by side and their rounds are timed alternately, so host noise
+//!   hits both rows alike. The threshold has been measured only on 2-vCPU
+//!   hosts; with 4 or more threads it asks for 2.8x, which no recorded run
+//!   has checked yet.
 
 use std::time::Instant;
 
@@ -178,7 +180,11 @@ fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> Spread {
 
 /// Times `f` for `iters` iterations after `iters / 10 + 1` warmup runs.
 fn time<T>(name: &str, iters: usize, f: impl FnMut() -> T) -> BenchRow {
-    let spread = measure(iters, f);
+    print_row(name, iters, measure(iters, f))
+}
+
+/// Prints and builds the row of `iters` samples with `spread`.
+fn print_row(name: &str, iters: usize, spread: Spread) -> BenchRow {
     let Spread { p10_ns, median_ns, p90_ns } = spread;
     println!("{name:<42} {median_ns:>12.0} ns (p10 {p10_ns:.0}, p90 {p90_ns:.0}; {iters} iters)");
     BenchRow { name: name.to_string(), iters, spread, ..BenchRow::default() }
@@ -229,61 +235,89 @@ fn time_streaming(backend: &dyn InferenceBackend, iters: usize) -> BenchRow {
     row
 }
 
-/// Times the sharded serving layer: `sessions` streams pinned across
-/// `shard_count` worker threads, one hop fed per session per round, every
+/// Times the sharded serving layer at 1 and at 4 shards: `sessions`
+/// streams on each server, one hop fed per session per round, every
 /// round's windows flushed through a barrier so one iteration serves
-/// exactly `sessions` windows. Throughput is aggregate windows/sec; the row
-/// also carries the run's feed-to-vote p50/p99 window latency. The backend
-/// must be `Sync` (shards share it by reference), which is why the dense
-/// interpreter is absent from these rows.
+/// exactly `sessions` windows. Both servers stand up together and their
+/// rounds alternate, with the first server alternating too, so a burst of
+/// host steal lands on both rows alike instead of on whichever shard count
+/// happened to run during it. A server's workers sleep while the other is
+/// timed. Each row keeps its own samples and spread; its throughput is
+/// aggregate windows/sec, and it also carries its server's feed-to-vote
+/// p50/p99 window latency. The backend must be `Sync` (shards share it by
+/// reference), which is why the dense interpreter is absent from these
+/// rows.
 fn time_sharded_multi<B: InferenceBackend + Sync>(
     backend: &B,
     sessions: usize,
-    shard_count: usize,
     iters: usize,
-) -> BenchRow {
+) -> Vec<BenchRow> {
     let config = StreamingConfig::default();
-    let serve = ServeConfig {
+    let serve = |shards| ServeConfig {
         // Barrier-driven rounds: no size or deadline trigger mid-round.
         max_batch: 0,
         channel_capacity: 256,
-        ..ServeConfig::with_shards(shard_count)
+        ..ServeConfig::with_shards(shards)
     };
-    let spec = ModelSpec::new(backend, MfccConfig::paper(), vec![0.0; 10], vec![1.0; 10]);
-    ShardedStreamServer::run(vec![spec], config, serve, |server| {
-        let mut rng = SmallRng::seed_from_u64(43);
-        let ids: Vec<_> =
-            (0..sessions).map(|_| server.try_open().expect("open bench session")).collect();
-        let prefill = gaussian(&[16_000], 0.0, 0.1, &mut rng);
-        for &id in &ids {
-            server.try_feed(id, prefill.data()).expect("prefill bench session");
-        }
-        server.flush();
-        let chunk = gaussian(&[config.hop], 0.0, 0.1, &mut rng);
-        let name = format!(
-            "streaming_multi{sessions}/{}_backend/shards{shard_count}",
-            backend.backend_name()
-        );
-        let mut row = time(&name, iters, || {
-            for &id in &ids {
-                server.try_feed(id, chunk.data()).expect("feed bench session");
+    let spec = || vec![ModelSpec::new(backend, MfccConfig::paper(), vec![0.0; 10], vec![1.0; 10])];
+    let shard_counts = [1usize, 4];
+    ShardedStreamServer::run(spec(), config, serve(shard_counts[0]), |one| {
+        ShardedStreamServer::run(spec(), config, serve(shard_counts[1]), |four| {
+            let mut servers = [one, four];
+            let mut rng = SmallRng::seed_from_u64(43);
+            let prefill = gaussian(&[16_000], 0.0, 0.1, &mut rng);
+            let chunk = gaussian(&[config.hop], 0.0, 0.1, &mut rng);
+            let ids: Vec<Vec<_>> = servers
+                .iter_mut()
+                .map(|server| {
+                    let ids: Vec<_> = (0..sessions)
+                        .map(|_| server.try_open().expect("open bench session"))
+                        .collect();
+                    for &id in &ids {
+                        server.try_feed(id, prefill.data()).expect("prefill bench session");
+                    }
+                    server.flush();
+                    ids
+                })
+                .collect();
+            let warmup = iters / 10 + 1;
+            let mut samples = [Vec::new(), Vec::new()];
+            for i in 0..warmup + iters {
+                for k in [i % 2, 1 - i % 2] {
+                    let t0 = Instant::now();
+                    for &id in &ids[k] {
+                        servers[k].try_feed(id, chunk.data()).expect("feed bench session");
+                    }
+                    std::hint::black_box(servers[k].flush());
+                    if i >= warmup {
+                        samples[k].push(t0.elapsed().as_nanos() as f64);
+                    }
+                }
             }
-            server.flush()
-        });
-        let wps = sessions as f64 * 1e9 / row.spread.median_ns;
-        row.windows_per_sec = Some(wps);
-        row.shards = Some(shard_count);
-        let latency = server.latency();
-        row.p50_ns = Some(latency.p50_ns);
-        row.p99_ns = Some(latency.p99_ns);
-        println!(
-            "{:<42} {wps:>12.1} windows/sec ({sessions} sessions, {shard_count} shards, \
-             p50 {:.0} µs, p99 {:.0} µs)",
-            "",
-            latency.p50_ns as f64 / 1e3,
-            latency.p99_ns as f64 / 1e3
-        );
-        row
+            let mut rows = Vec::new();
+            for ((server, samples), shards) in servers.iter().zip(samples).zip(shard_counts) {
+                let name = format!(
+                    "streaming_multi{sessions}/{}_backend/shards{shards}",
+                    backend.backend_name()
+                );
+                let mut row = print_row(&name, iters, Spread::of(samples));
+                let wps = sessions as f64 * 1e9 / row.spread.median_ns;
+                row.windows_per_sec = Some(wps);
+                row.shards = Some(shards);
+                let latency = server.latency();
+                row.p50_ns = Some(latency.p50_ns);
+                row.p99_ns = Some(latency.p99_ns);
+                println!(
+                    "{:<42} {wps:>12.1} windows/sec ({sessions} sessions, {shards} shards, \
+                     p50 {:.0} µs, p99 {:.0} µs)",
+                    "",
+                    latency.p50_ns as f64 / 1e3,
+                    latency.p99_ns as f64 / 1e3
+                );
+                rows.push(row);
+            }
+            rows
+        })
     })
 }
 
@@ -480,13 +514,13 @@ fn main() {
         rows.push(row);
     }
 
-    // 256 sessions through {1, 4} shards on the packed engine: enough
-    // concurrent streams that per-round fixed costs are amortised and the
-    // shards stay busy. The dense interpreter is absent: shards share the
-    // backend by reference, which requires `Sync`.
+    // 256 sessions through {1, 4} shards on the packed engine, timed in
+    // alternating rounds: enough concurrent streams that per-round fixed
+    // costs are amortised and the shards stay busy. The dense interpreter
+    // is absent: shards share the backend by reference, which requires
+    // `Sync`.
     let multi_iters = (stream_iters / 4).max(3);
-    for shard_count in [1, 4] {
-        let mut row = time_sharded_multi(&engine, 256, shard_count, multi_iters);
+    for mut row in time_sharded_multi(&engine, 256, multi_iters) {
         row.kernel = on_dispatch(engine.backend_name());
         rows.push(row);
     }

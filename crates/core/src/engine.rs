@@ -25,15 +25,17 @@
 //! fake-quantization knobs ([`StHybridNet::set_activation_bits`] and
 //! friends) must be off when compiling.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::borrow::Cow;
 
 use thnt_bonsai::{StrassenBonsai, TreeTopology};
 use thnt_nn::BatchNorm2d;
 use thnt_strassen::{
     KernelDispatch, PackedTernary, QuantMode, StLayer, StStack, StrassenConv2d, StrassenDense,
-    StrassenDepthwise2d, Strassenified,
+    StrassenDepthwise2d, Strassenified, WindowTap,
 };
-use thnt_tensor::{global_avg_pool, im2col, Conv2dSpec, Tensor};
+use thnt_tensor::{global_avg_pool, im2col_into, Conv2dSpec, Tensor};
 
 use crate::st_hybrid::StHybridNet;
 
@@ -151,10 +153,13 @@ impl<'a> PackedConv2d<'a> {
     /// `W_b · im2col(x)`, the `â` channel scale, and packed `W_c`.
     ///
     /// Samples run one after another on the calling thread, reusing one
-    /// hidden buffer and writing each output straight into its slice of
-    /// `y`, so a sample's result does not depend on the batch it arrives in.
+    /// column buffer and one hidden buffer and writing each output straight
+    /// into its slice of `y`, so a sample's result does not depend on the
+    /// batch it arrives in. A 1×1, stride-1, unpadded convolution skips
+    /// `im2col` altogether: its `[ic, h·w]` sample already is the column
+    /// matrix, and the kernel reads it in place.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
+        let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.out_dims(h, w);
         let spatial = oh * ow;
         let oc = self.bias.len();
@@ -162,14 +167,18 @@ impl<'a> PackedConv2d<'a> {
         if oc * spatial == 0 {
             return y;
         }
-        let mut hidden = Tensor::zeros(&[self.a_hat.len(), spatial]);
+        let d = KernelDispatch::get();
+        let mut cols = Vec::new();
+        let mut hidden = vec![0.0f32; self.a_hat.len() * spatial];
+        let plane = ic * h * w;
         for (s, dst) in y.data_mut().chunks_mut(oc * spatial).enumerate() {
-            let cols = im2col(&x.slice_batch(s), &self.spec);
-            self.wb.matmul_rhs_into(&cols, hidden.data_mut());
-            for (row, &a) in hidden.data_mut().chunks_mut(spatial).zip(self.a_hat.iter()) {
+            let sample = &x.data()[s * plane..(s + 1) * plane];
+            let m = conv_columns(&self.spec, sample, (ic, h, w), &mut cols);
+            self.wb.matmul_rhs_slice_into_with(d, m, spatial, &mut hidden);
+            for (row, &a) in hidden.chunks_mut(spatial).zip(self.a_hat.iter()) {
                 row.iter_mut().for_each(|v| *v *= a);
             }
-            self.wc.matmul_rhs_into(&hidden, dst);
+            self.wc.matmul_rhs_slice_into_with(d, &hidden, spatial, dst);
             for (row, &b) in dst.chunks_mut(spatial).zip(self.bias.iter()) {
                 row.iter_mut().for_each(|v| *v += b);
             }
@@ -189,9 +198,34 @@ impl<'a> PackedConv2d<'a> {
     }
 }
 
+/// The `[ic·kh·kw, oh·ow]` column matrix of one `[ic, h, w]` sample: the
+/// sample itself for a 1×1, stride-1, unpadded convolution, whose input
+/// already is its column matrix, and otherwise its `im2col` lowered into
+/// `buf`, which a batch loop reuses across samples.
+pub(crate) fn conv_columns<'a>(
+    spec: &Conv2dSpec,
+    sample: &'a [f32],
+    (ic, h, w): (usize, usize, usize),
+    buf: &'a mut Vec<f32>,
+) -> &'a [f32] {
+    if *spec == Conv2dSpec::valid(1, 1, 1, 1) {
+        return sample;
+    }
+    let (oh, ow) = spec.out_dims(h, w);
+    buf.resize(ic * spec.kh * spec.kw * oh * ow, 0.0);
+    im2col_into(sample, (ic, h, w), spec, buf);
+    buf
+}
+
 /// A compiled strassenified depthwise convolution. The per-channel kernels
-/// are tiny (`kh·kw` taps), so entries are stored as signs and executed with
-/// an add/subtract tap loop that skips zeros — still multiplication-free.
+/// are tiny (`kh·kw` taps), so entries are stored as signs and each hidden
+/// channel's nonzero taps are summed with additions and subtractions only.
+/// On stride-1 maps whose output is the input's size, one
+/// [`KernelDispatch::window_sum`] call sums all of a hidden channel's taps
+/// in registers: the input plane is copied once between zero guard rows,
+/// each tap `(ki, kj)` is the window at offset `ki·w + kj`, and a per-`kj`
+/// lane mask drops the columns that fall off the map. Other geometries run
+/// a tap loop of dispatched slice adds. Both give bitwise the same output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedDepthwise2d<'a> {
     /// Ternary signs of `W_b`, flattened `[c·m·kh·kw]`. Like the
@@ -208,20 +242,19 @@ pub struct PackedDepthwise2d<'a> {
     pub(crate) multiplier: usize,
 }
 
+/// The `i8` signs of a frozen ternary tensor.
+///
+/// # Panics
+///
+/// Panics on any value other than −1, 0 or 1: compiling a layer that was
+/// never frozen is a construction bug, caught like a shape mismatch.
 fn ternary_signs(t: &Tensor) -> Vec<i8> {
     t.data()
         .iter()
         .enumerate()
         .map(|(i, &v)| {
-            if v == 0.0 {
-                0i8
-            } else if v == 1.0 {
-                1
-            } else if v == -1.0 {
-                -1
-            } else {
-                panic!("non-ternary value {v} at index {i}");
-            }
+            assert!(v == 0.0 || v == 1.0 || v == -1.0, "non-ternary value {v} at index {i}");
+            v as i8
         })
         .collect()
 }
@@ -267,110 +300,118 @@ impl<'a> PackedDepthwise2d<'a> {
     /// `c·m` true multiplications by `â` per output position. Samples run
     /// one after another on the calling thread with one reused hidden
     /// buffer, each writing its own slice of the output.
+    ///
+    /// Each hidden channel's nonzero taps are summed into the hidden
+    /// buffer, which the `±â` group combine
+    /// ([`KernelDispatch::slice_axpy`]) then adds into its output channel.
+    /// On stride-1 maps whose output is the input's size — every depthwise
+    /// layer [`StHybridNet::new`] builds — one
+    /// [`KernelDispatch::window_sum`] call sums all of a hidden channel's
+    /// taps in registers over a guard-row copy of its input plane (see
+    /// `docs/ARCHITECTURE.md`, "Kernel dispatch"). Any other geometry runs
+    /// a tap loop of dispatched slice adds. Both perform each output
+    /// element's adds in the same tap order on every backend, so results
+    /// are bitwise identical everywhere.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let (c, m) = (self.channels, self.multiplier);
         assert_eq!(x.dims()[1], c, "PackedDepthwise channel mismatch");
         let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.out_dims(h, w);
         let spatial = oh * ow;
-        let mut y = Tensor::zeros(&[n, c, oh, ow]);
         if c * spatial == 0 {
-            return y;
+            return Tensor::zeros(&[n, c, oh, ow]);
         }
-        let mut hidden = vec![0.0f32; spatial];
-        for (s, dst) in y.data_mut().chunks_mut(c * spatial).enumerate() {
-            let img = &x.data()[s * c * h * w..(s + 1) * c * h * w];
-            self.forward_sample(img, (h, w), m, &mut hidden, dst);
-        }
-        y
-    }
-
-    /// One sample of [`Self::forward`]: `img` is `[c, h, w]` flattened,
-    /// `dst` its `c × spatial` output slice, `hidden` a reusable
-    /// per-hidden-channel scratch.
-    ///
-    /// The tap loop runs through [`KernelDispatch`]'s element-wise slice
-    /// family: at unit horizontal stride each tap's in-bounds output run is
-    /// one contiguous `slice_add`/`slice_sub` of the input row, and the
-    /// final `±â` group combine is a `slice_axpy`. Those ops are specified
-    /// add-only (no FMA contraction), so every backend — and the strided
-    /// scalar fallback — produces bitwise identical results.
-    fn forward_sample(
-        &self,
-        img: &[f32],
-        (h, w): (usize, usize),
-        m: usize,
-        hidden: &mut [f32],
-        dst: &mut [f32],
-    ) {
         let d = KernelDispatch::get();
-        let (oh, ow) = self.spec.out_dims(h, w);
-        let spatial = oh * ow;
-        let (kh, kw) = (self.spec.kh, self.spec.kw);
-        for ch in 0..self.channels {
-            let img = &img[ch * h * w..(ch + 1) * h * w];
-            let dst = &mut dst[ch * spatial..(ch + 1) * spatial];
-            dst.fill(self.bias[ch]);
-            for j in 0..m {
-                let hc = ch * m + j;
+        let taps_per_channel = self.spec.kh * self.spec.kw;
+        let mut windows = GuardedPlane::new(&self.spec, h, w);
+        let mut hidden = vec![0.0f32; spatial];
+        // Each output channel starts as its bias, written once.
+        let mut y = Vec::with_capacity(n * c * spatial);
+        for i in 0..n * c {
+            let (img, ch) = (&x.data()[i * h * w..(i + 1) * h * w], i % c);
+            let start = y.len();
+            y.resize(start + spatial, self.bias[ch]);
+            let dst = &mut y[start..];
+            if let Some(win) = &mut windows {
+                win.load(img);
+            }
+            for hc in ch * m..(ch + 1) * m {
                 let wcv = self.wc_signs[hc];
                 if wcv == 0 {
                     continue;
                 }
-                // Hidden channel: ternary depthwise taps, zeros skipped.
-                hidden.fill(0.0);
-                let taps = &self.wb_signs[hc * kh * kw..(hc + 1) * kh * kw];
-                for ki in 0..kh {
-                    for kj in 0..kw {
-                        let sign = taps[ki * kw + kj];
-                        if sign == 0 {
-                            continue;
-                        }
-                        for oy in 0..oh {
-                            let iy = (oy * self.spec.stride_h + ki) as isize
-                                - self.spec.pad_top as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let src_row = iy as usize * w;
-                            if self.spec.stride_w == 1 {
-                                // ix = ox + kj - pad_left must land in
-                                // [0, w): one contiguous run of outputs.
-                                let ox0 = self.spec.pad_left.saturating_sub(kj);
-                                let ox1 = (w + self.spec.pad_left).saturating_sub(kj).min(ow);
-                                if ox0 >= ox1 {
-                                    continue;
-                                }
-                                let ix0 = ox0 + kj - self.spec.pad_left;
-                                let run = ox1 - ox0;
-                                let out = &mut hidden[oy * ow + ox0..oy * ow + ox1];
-                                let src = &img[src_row + ix0..src_row + ix0 + run];
-                                if sign > 0 {
-                                    d.slice_add(out, src);
-                                } else {
-                                    d.slice_sub(out, src);
-                                }
-                            } else {
-                                for ox in 0..ow {
-                                    let ix = (ox * self.spec.stride_w + kj) as isize
-                                        - self.spec.pad_left as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let v = img[src_row + ix as usize];
-                                    if sign > 0 {
-                                        hidden[oy * ow + ox] += v;
-                                    } else {
-                                        hidden[oy * ow + ox] -= v;
-                                    }
-                                }
-                            }
-                        }
-                    }
+                let signs = &self.wb_signs[hc * taps_per_channel..(hc + 1) * taps_per_channel];
+                match &mut windows {
+                    Some(win) => win.sum(d, signs, &mut hidden),
+                    None => self.tap_loop(d, img, (h, w), signs, &mut hidden),
                 }
                 // `â` scale folded into the ±1 group combine.
                 let a = self.a_hat[hc];
-                d.slice_axpy(dst, if wcv > 0 { a } else { -a }, hidden);
+                d.slice_axpy(dst, if wcv > 0 { a } else { -a }, &hidden);
+            }
+        }
+        Tensor::from_vec(y, &[n, c, oh, ow])
+    }
+
+    /// One hidden channel's taps (`signs`, row-major `kh × kw`) over the
+    /// `h × w` plane `img` into `hidden`, for the geometries
+    /// [`GuardedPlane`] does not cover. At unit horizontal stride each
+    /// tap's in-bounds output run is one contiguous dispatched
+    /// `slice_add`/`slice_sub` of an input row; other strides add one
+    /// element at a time.
+    fn tap_loop(
+        &self,
+        d: &KernelDispatch,
+        img: &[f32],
+        (h, w): (usize, usize),
+        signs: &[i8],
+        hidden: &mut [f32],
+    ) {
+        let (oh, ow) = self.spec.out_dims(h, w);
+        hidden.fill(0.0);
+        for (k, &sign) in signs.iter().enumerate() {
+            if sign == 0 {
+                continue;
+            }
+            let (ki, kj) = (k / self.spec.kw, k % self.spec.kw);
+            for oy in 0..oh {
+                let iy = (oy * self.spec.stride_h + ki) as isize - self.spec.pad_top as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                let src_row = iy as usize * w;
+                if self.spec.stride_w == 1 {
+                    // ix = ox + kj - pad_left must land in [0, w): one
+                    // contiguous run of outputs.
+                    let ox0 = self.spec.pad_left.saturating_sub(kj);
+                    let ox1 = (w + self.spec.pad_left).saturating_sub(kj).min(ow);
+                    if ox0 >= ox1 {
+                        continue;
+                    }
+                    let ix0 = ox0 + kj - self.spec.pad_left;
+                    let run = ox1 - ox0;
+                    let out = &mut hidden[oy * ow + ox0..oy * ow + ox1];
+                    let src = &img[src_row + ix0..src_row + ix0 + run];
+                    if sign > 0 {
+                        d.slice_add(out, src);
+                    } else {
+                        d.slice_sub(out, src);
+                    }
+                } else {
+                    for ox in 0..ow {
+                        let ix =
+                            (ox * self.spec.stride_w + kj) as isize - self.spec.pad_left as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        let v = img[src_row + ix as usize];
+                        if sign > 0 {
+                            hidden[oy * ow + ox] += v;
+                        } else {
+                            hidden[oy * ow + ox] -= v;
+                        }
+                    }
+                }
             }
         }
     }
@@ -428,6 +469,84 @@ impl<'a> PackedDepthwise2d<'a> {
     pub fn packed_bytes(&self) -> usize {
         (self.wb_signs.len() + self.wc_signs.len()).div_ceil(4)
             + (self.a_hat.len() + self.bias.len()) * 4
+    }
+}
+
+/// The window layout [`PackedDepthwise2d::forward`] sums taps over on a
+/// stride-1 map whose output is the input's size (so
+/// `pad_top + pad_bottom = kh − 1` and `pad_left + pad_right = kw − 1`):
+/// one input channel plane at a time, copied between zero guards, so that
+/// tap `(ki, kj)` of output `o = oy·w + ox` reads `plane[o + ki·w + kj]`
+/// and each tap is one contiguous window of `h·w` lanes.
+///
+/// ```text
+/// plane = [pad_left 0s | pad_top zero rows | h input rows | pad_bottom zero rows | pad_right 0s]
+/// plane[o + ki·w + kj] = input(oy + ki − pad_top, ox + kj − pad_left)
+/// ```
+///
+/// A tap row outside the input reads a guard zero. A tap column outside
+/// it wraps into the neighbouring row, so that lane is masked:
+/// `masks[kj·h·w + o]` is zero where `ox + kj − pad_left` leaves `[0, w)`.
+/// A masked lane adds ±0.0, which leaves the hidden sum unchanged because a
+/// sum seeded with +0.0 never becomes −0.0, so every output element gets
+/// exactly the tap loop's adds in the tap loop's order.
+struct GuardedPlane {
+    /// Index of input element `(0, 0)` in `plane`.
+    origin: usize,
+    plane: Vec<f32>,
+    /// One run of `h·w` lane masks per kernel column `kj`.
+    masks: Vec<u32>,
+    /// The window and mask run of every kernel position, row-major.
+    windows: Vec<WindowTap>,
+    /// The current hidden channel's nonzero taps.
+    taps: Vec<WindowTap>,
+}
+
+impl GuardedPlane {
+    /// The layout for `spec` over an `h × w` input, or `None` unless both
+    /// strides are 1 and the output is the input's size.
+    fn new(spec: &Conv2dSpec, h: usize, w: usize) -> Option<Self> {
+        if spec.stride_h != 1 || spec.stride_w != 1 || spec.out_dims(h, w) != (h, w) {
+            return None;
+        }
+        let (kh, kw, pad_left, n) = (spec.kh, spec.kw, spec.pad_left, h * w);
+        let mut masks = Vec::with_capacity(kw * n);
+        for kj in 0..kw {
+            let lane =
+                |ox: usize| if (pad_left..pad_left + w).contains(&(ox + kj)) { !0 } else { 0 };
+            for _ in 0..h {
+                masks.extend((0..w).map(lane));
+            }
+        }
+        let windows = (0..kh)
+            .flat_map(|ki| {
+                (0..kw).map(move |kj| WindowTap { src: ki * w + kj, mask: kj * n, negate: false })
+            })
+            .collect();
+        Some(Self {
+            origin: spec.pad_top * w + pad_left,
+            plane: vec![0.0; (h + kh - 1) * w + kw - 1],
+            masks,
+            windows,
+            taps: Vec::with_capacity(kh * kw),
+        })
+    }
+
+    /// Copies one input channel plane between the guards.
+    fn load(&mut self, img: &[f32]) {
+        self.plane[self.origin..self.origin + img.len()].copy_from_slice(img);
+    }
+
+    /// One hidden channel: its nonzero taps (`signs`, row-major `kh × kw`)
+    /// summed over the loaded plane into `hidden`, in one kernel call.
+    fn sum(&mut self, d: &KernelDispatch, signs: &[i8], hidden: &mut [f32]) {
+        self.taps.clear();
+        for (&window, &sign) in self.windows.iter().zip(signs) {
+            if sign != 0 {
+                self.taps.push(WindowTap { negate: sign < 0, ..window });
+            }
+        }
+        d.window_sum(&self.plane, &self.masks, &self.taps, hidden);
     }
 }
 
@@ -934,6 +1053,7 @@ impl thnt_nn::InferenceBackend for PackedStHybrid<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::config::HybridConfig;
@@ -999,7 +1119,8 @@ mod tests {
     }
 
     /// The pre-SIMD tap loop, kept verbatim as the bitwise reference for
-    /// the slice-op restructuring of [`PackedDepthwise2d::forward_sample`].
+    /// both paths of [`PackedDepthwise2d::forward`]: the window sums and
+    /// the dispatched tap loop.
     fn reference_depthwise(layer: &PackedDepthwise2d<'_>, x: &Tensor) -> Tensor {
         let (c, m) = (layer.channels, layer.multiplier);
         let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
@@ -1058,11 +1179,46 @@ mod tests {
         y
     }
 
+    /// A depthwise layer with random ternary signs, `â` and bias.
+    fn random_depthwise(
+        spec: Conv2dSpec,
+        c: usize,
+        m: usize,
+        rng: &mut SmallRng,
+    ) -> PackedDepthwise2d<'static> {
+        let taps = spec.kh * spec.kw;
+        PackedDepthwise2d {
+            wb_signs: Cow::Owned((0..c * m * taps).map(|_| rng.gen_range(-1i8..=1)).collect()),
+            a_hat: (0..c * m).map(|_| rng.gen_range(0.2f32..1.5)).collect(),
+            wc_signs: Cow::Owned((0..c * m).map(|_| rng.gen_range(-1i8..=1)).collect()),
+            bias: (0..c).map(|_| rng.gen_range(-0.5f32..0.5)).collect(),
+            spec,
+            channels: c,
+            multiplier: m,
+        }
+    }
+
+    /// `got` equals `want` bit for bit, except that where the input held a
+    /// NaN (`nan_input`) a NaN output need only be NaN: the window sum
+    /// flips signs by XOR, so a NaN's sign bit may differ.
+    fn assert_bitwise(got: &Tensor, want: &Tensor, nan_input: bool, label: &str) {
+        assert_eq!(got.dims(), want.dims(), "{label}");
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (nan_input && g.is_nan() && w.is_nan());
+            assert!(
+                same,
+                "{label}: element {i} is {g:?} ({:#x}), want {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
     #[test]
     fn depthwise_slice_ops_are_bitwise_equal_to_the_tap_loop() {
         // Unit and non-unit horizontal stride, asymmetric padding, several
-        // channels/multipliers: the dispatched slice-op path must reproduce
-        // the original scalar tap loop bit for bit.
+        // channels/multipliers: the dispatched tap loop must reproduce the
+        // original scalar tap loop bit for bit.
         let mut rng = SmallRng::seed_from_u64(17);
         for (stride_w, pad_left) in [(1usize, 1usize), (1, 0), (2, 1), (3, 2)] {
             let spec = Conv2dSpec {
@@ -1075,23 +1231,93 @@ mod tests {
                 pad_left,
                 pad_right: 1,
             };
-            let (c, m) = (3usize, 2usize);
-            let layer = PackedDepthwise2d {
-                wb_signs: Cow::Owned((0..c * m * 9).map(|_| rng.gen_range(-1i8..=1)).collect()),
-                a_hat: (0..c * m).map(|_| rng.gen_range(0.2f32..1.5)).collect(),
-                wc_signs: Cow::Owned((0..c * m).map(|_| rng.gen_range(-1i8..=1)).collect()),
-                bias: (0..c).map(|_| rng.gen_range(-0.5f32..0.5)).collect(),
-                spec,
-                channels: c,
-                multiplier: m,
-            };
-            let x = thnt_tensor::gaussian(&[2, c, 9, 7], 0.0, 1.0, &mut rng);
-            let got = layer.forward(&x);
-            let want = reference_depthwise(&layer, &x);
-            assert_eq!(got.dims(), want.dims());
-            let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
-            let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "stride_w={stride_w} pad_left={pad_left}");
+            let layer = random_depthwise(spec, 3, 2, &mut rng);
+            let x = thnt_tensor::gaussian(&[2, 3, 9, 7], 0.0, 1.0, &mut rng);
+            let label = format!("stride_w={stride_w} pad_left={pad_left}");
+            assert_bitwise(&layer.forward(&x), &reference_depthwise(&layer, &x), false, &label);
+        }
+        // Stride-1 maps whose output is the input's size run the window
+        // sums over a guard-row plane: the paper's 3×3 on 25×5, an even
+        // 4×4 kernel (pads 1 above/left, 2 below/right), 1×3 and 5×2
+        // kernels, and multiplier 2.
+        let cases = [
+            ((25usize, 5usize), (3usize, 3usize), 1usize),
+            ((25, 5), (3, 3), 2),
+            ((9, 7), (4, 4), 1),
+            ((6, 9), (1, 3), 2),
+            ((8, 6), (5, 2), 1),
+        ];
+        for ((h, w), (kh, kw), m) in cases {
+            let spec = Conv2dSpec::same(h, w, kh, kw, 1, 1);
+            assert_eq!(spec.out_dims(h, w), (h, w));
+            let c = 3;
+            let mut layer = random_depthwise(spec, c, m, &mut rng);
+            // A hidden channel with a zero `W_c` sign is skipped wholesale.
+            layer.wc_signs.to_mut()[1] = 0;
+            let mut x = thnt_tensor::gaussian(&[2, c, h, w], 0.0, 1.0, &mut rng);
+            let label = format!("{kh}x{kw} on {h}x{w}, multiplier {m}");
+            assert_bitwise(&layer.forward(&x), &reference_depthwise(&layer, &x), false, &label);
+            // −0.0 and ±inf, on borders and inside: a masked lane or guard
+            // row adds ±0.0, which changes no sum, and inf − inf is the same
+            // NaN on both paths.
+            let n = x.numel();
+            for (i, v) in [(0, -0.0), (w - 1, f32::INFINITY), (n / 2, f32::NEG_INFINITY)] {
+                x.data_mut()[i] = v;
+            }
+            for i in (3..n).step_by(11) {
+                x.data_mut()[i] = -0.0;
+            }
+            let label = format!("{label}, with -0.0 and ±inf inputs");
+            assert_bitwise(&layer.forward(&x), &reference_depthwise(&layer, &x), false, &label);
+            // A NaN input stays NaN.
+            x.data_mut()[n / 3] = f32::NAN;
+            let label = format!("{label} and a NaN");
+            assert_bitwise(&layer.forward(&x), &reference_depthwise(&layer, &x), true, &label);
+        }
+    }
+
+    /// The convolution the engine replaced: `W_b · im2col`, `â`, `W_c ·`,
+    /// bias, one freshly lowered sample at a time.
+    fn reference_conv(layer: &PackedConv2d<'_>, x: &Tensor) -> Tensor {
+        let n = x.dims()[0];
+        let (oh, ow) = layer.spec.out_dims(x.dims()[2], x.dims()[3]);
+        let spatial = oh * ow;
+        let mut rows = Vec::new();
+        for s in 0..n {
+            let mut hidden =
+                layer.wb.matmul_rhs(&thnt_tensor::im2col(&x.slice_batch(s), &layer.spec));
+            for (row, &a) in hidden.data_mut().chunks_mut(spatial).zip(layer.a_hat.iter()) {
+                row.iter_mut().for_each(|v| *v *= a);
+            }
+            let mut y = layer.wc.matmul_rhs(&hidden);
+            for (row, &b) in y.data_mut().chunks_mut(spatial).zip(layer.bias.iter()) {
+                row.iter_mut().for_each(|v| *v += b);
+            }
+            rows.extend_from_slice(y.data());
+        }
+        Tensor::from_vec(rows, &[n, layer.bias.len(), oh, ow])
+    }
+
+    #[test]
+    fn convs_read_in_place_or_from_one_column_buffer_bitwise() {
+        // A 1×1 pointwise conv hands the kernel its input in place; the
+        // first conv's geometry (10×4, stride 2, SAME) lowers every sample
+        // into one reused column buffer. Both must equal `matmul_rhs` over
+        // a fresh `im2col`, bit for bit, alone and in a batch.
+        let mut rng = SmallRng::seed_from_u64(23);
+        for (ic, oc, r, spec, (h, w)) in [
+            (6usize, 5usize, 4usize, Conv2dSpec::valid(1, 1, 1, 1), (25usize, 5usize)),
+            (1, 8, 6, Conv2dSpec::same(49, 10, 10, 4, 2, 2), (49, 10)),
+        ] {
+            let mut conv = StrassenConv2d::new(ic, oc, r, spec, &mut rng);
+            conv.activate_quantization();
+            conv.freeze_ternary();
+            let layer = PackedConv2d::compile(&conv);
+            for n in [1, 3] {
+                let x = thnt_tensor::gaussian(&[n, ic, h, w], 0.0, 1.0, &mut rng);
+                let label = format!("{}x{} conv at batch {n}", spec.kh, spec.kw);
+                assert_bitwise(&layer.forward(&x), &reference_conv(&layer, &x), false, &label);
+            }
         }
     }
 

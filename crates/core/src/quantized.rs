@@ -40,12 +40,15 @@
 //! quantized path — bitwise identically, because the accumulation is
 //! integral.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use thnt_quant::{ActivationProfile, CalibrationMethod, RangeObserver};
 use thnt_strassen::{BitSliced, KernelDispatch, PackedTernary};
 use thnt_tensor::{global_avg_pool, im2col, Conv2dSpec, Tensor};
 
 use crate::engine::{
-    ChannelAffine, PackedConv2d, PackedDense, PackedDepthwise2d, PackedLayer, PackedStHybrid,
+    conv_columns, ChannelAffine, PackedConv2d, PackedDense, PackedDepthwise2d, PackedLayer,
+    PackedStHybrid,
 };
 
 /// The two activation scales of one quantized strassenified layer.
@@ -238,7 +241,7 @@ impl QuantConv2d {
     /// Forward: `[n, ic, h, w] → [n, oc, oh, ow]` with every output
     /// position's patch bit-sliced and popcounted.
     fn forward(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
-        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
+        let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.out_dims(h, w);
         let spatial = oh * ow;
         let (k, r, oc) = (self.wb.cols(), self.hidden_dequant.len(), self.out_scale.len());
@@ -251,9 +254,12 @@ impl QuantConv2d {
         let mut h_int = vec![0i32; spatial * r];
         let mut h_f = vec![0f32; spatial * r];
         let mut y_int = vec![0i32; spatial * oc];
+        let mut cols = Vec::new();
+        let plane = ic * h * w;
         for s in 0..n {
-            let cols = im2col(&x.slice_batch(s), &self.spec);
-            patches.quantize_columns_into(cols.data(), self.in_scale);
+            let sample = &x.data()[s * plane..(s + 1) * plane];
+            let m = conv_columns(&self.spec, sample, (ic, h, w), &mut cols);
+            patches.quantize_columns_into(m, self.in_scale);
             self.wb.bitsliced_matmul_into_with(d, &patches, &mut h_int);
             for (i, (hf, &hi)) in h_f.iter_mut().zip(h_int.iter()).enumerate() {
                 *hf = hi as f32 * self.hidden_dequant[i % r];
@@ -555,7 +561,9 @@ impl QuantizedStHybrid {
         };
         let mut node_scales = schedule.node_hidden.iter().copied();
         let mut take = |ds: &[PackedDense]| -> Result<Vec<QuantDense>, String> {
-            ds.iter().map(|d| node(d, node_scales.next().expect("counted above"))).collect()
+            ds.iter()
+                .map(|d| node(d, node_scales.next().ok_or("schedule has too few node scales")?))
+                .collect()
         };
         let qtree = QuantBonsai {
             z: QuantDense::fold(&tree.z, schedule.z, None)?,
@@ -737,6 +745,7 @@ impl thnt_nn::InferenceBackend for QuantizedStHybrid {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::config::HybridConfig;

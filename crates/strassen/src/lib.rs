@@ -59,7 +59,7 @@ pub use conv::{StrassenConv2d, StrassenDepthwise2d};
 pub use cost::{format_mops, CostReport, LayerCost, OpCount};
 pub use dense::StrassenDense;
 pub use packed::bitslice::BitSliced;
-pub use packed::kernel::{Kernel, KernelDispatch};
+pub use packed::kernel::{Kernel, KernelDispatch, WindowTap};
 pub use packed::PackedTernary;
 pub use schedule::{QuantMode, Strassenified, TrainingPhase};
 pub use spn::{exact_strassen_2x2, spn_matmul_2x2, PackedSpn, StrassenSpn};

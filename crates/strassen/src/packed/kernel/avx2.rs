@@ -36,7 +36,7 @@ use std::arch::x86_64::{
     _mm_shuffle_epi32, _mm_shuffle_ps,
 };
 
-use super::PackedView;
+use super::{PackedView, WindowTap};
 
 /// Samples per register tile of [`matmul_samples`]: each pair of mask loads
 /// is reused across the tile; 4 samples × 2 accumulators plus masks and the
@@ -68,6 +68,11 @@ const fn build_mask_lut() -> [[u32; 8]; 256] {
 }
 
 /// The 8-lane mask for byte `bits` (one aligned load from [`MASK_LUT`]).
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. The load reads
+/// one whole 32-byte-aligned table row, and the row index is bounds-checked.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn mask_for(bits: usize) -> __m256 {
@@ -75,6 +80,11 @@ unsafe fn mask_for(bits: usize) -> __m256 {
 }
 
 /// Horizontal sum of all 8 lanes.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. No memory is
+/// read.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn hsum(v: __m256) -> f32 {
@@ -93,6 +103,11 @@ fn group_bytes(plus_row: &[u64], minus_row: &[u64], g: usize) -> (usize, usize) 
 use super::tail_dot;
 
 /// One group's ±masked activations: `(x & plus_mask) − (x & minus_mask)`.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. The only loads
+/// are [`mask_for`]'s bounds-checked table rows.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn group_delta(xv: __m256, pb: usize, mb: usize) -> __m256 {
@@ -104,6 +119,13 @@ unsafe fn group_delta(xv: __m256, pb: usize, mb: usize) -> __m256 {
 /// row slices), tail columns via the scalar bit iteration. Even groups
 /// accumulate into `a0`, odd into `a1` — [`row_dot_tile`] uses the same
 /// schedule so batched and single-sample results are bitwise identical.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. Every vector
+/// load reads 8 floats of `x` at a multiple of 8 below
+/// `(x.len() / 8) · 8`, so it ends inside `x`; the row words are read with
+/// bounds checks.
 #[target_feature(enable = "avx2")]
 unsafe fn row_dot(plus_row: &[u64], minus_row: &[u64], x: &[f32]) -> f32 {
     let ngroups = x.len() / 8;
@@ -148,6 +170,13 @@ unsafe fn row_dot(plus_row: &[u64], minus_row: &[u64], x: &[f32]) -> f32 {
 /// applied by XOR-ing the IEEE sign bit (`acc + (−v)` is bitwise
 /// `acc − v`), so per element this performs exactly the scalar backend's
 /// adds in exactly its order — the output is bitwise identical.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. The stripe reads
+/// and writes columns `c..c + NB·8`, so `c + NB·8 <= p <= orow.len()`, and
+/// every entry `(j, _)` of `bits` must name a row of `md`:
+/// `(j + 1) · p <= md.len()`.
 #[target_feature(enable = "avx2")]
 unsafe fn rhs_stripe<const NB: usize>(
     md: &[f32],
@@ -174,7 +203,9 @@ unsafe fn rhs_stripe<const NB: usize>(
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime. [`row_dot`]
+/// bounds its loads by `x.len()`; the dispatch guarantees
+/// `x.len() == v.cols`, which keeps the row words it indexes in range.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn matvec_into(v: &PackedView<'_>, x: &[f32], y: &mut [f32]) {
     let wpr = v.words_per_row;
@@ -189,6 +220,12 @@ pub(crate) unsafe fn matvec_into(v: &PackedView<'_>, x: &[f32], y: &mut [f32]) {
 /// tile. Per sample, the group order and accumulator schedule are identical
 /// to [`row_dot`], so the result is bitwise the same as running the sample
 /// alone.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. Sample `ti < t`
+/// is read at `x[ti·cols..(ti + 1)·cols]` by 8-float loads below
+/// `(cols / 8) · 8`, so `x.len() >= t · cols`; `t <= SAMPLE_TILE`.
 #[target_feature(enable = "avx2")]
 unsafe fn row_dot_tile(
     plus_row: &[u64],
@@ -251,7 +288,9 @@ unsafe fn row_dot_tile(
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime. Each tile hands
+/// [`row_dot_tile`] a bounds-checked slice of exactly `t · v.cols` floats;
+/// the dispatch guarantees `x.len() == ns · v.cols`.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn matmul_samples(v: &PackedView<'_>, x: &[f32], out: &mut [f32]) {
     let (rows, cols, wpr) = (v.rows, v.cols, v.words_per_row);
@@ -282,7 +321,10 @@ pub(crate) unsafe fn matmul_samples(v: &PackedView<'_>, x: &[f32], out: &mut [f3
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime, and
+/// `md.len() == v.cols · p`: the stripes load whole `p`-float rows of `md`
+/// for every set bit, and a set bit always names a column below `v.cols`
+/// (padding bits are clear, which every constructor checks).
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn rhs_rows(
     v: &PackedView<'_>,
@@ -306,6 +348,11 @@ static POP_LUT: PopLut = PopLut([
 
 /// Per-byte popcount of a 256-bit vector: the Muła `vpshufb` nibble-LUT
 /// scheme — two table shuffles and one byte add per vector.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. The only load is
+/// the whole 32-byte-aligned [`POP_LUT`].
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn popcount_bytes(v: __m256i) -> __m256i {
@@ -317,6 +364,11 @@ unsafe fn popcount_bytes(v: __m256i) -> __m256i {
 }
 
 /// Horizontal sum of the eight i32 lanes.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. No memory is
+/// read.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn hsum_epi32(v: __m256i) -> i32 {
@@ -340,7 +392,10 @@ unsafe fn hsum_epi32(v: __m256i) -> i32 {
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime, and
+/// `planes.len() >= 8 · v.words_per_row`: block `blk` loads words
+/// `blk·4..blk·4 + 4 <= words_per_row` of each bounds-checked row slice and
+/// of each active plane.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut [i32]) {
     let wpr = v.words_per_row;
@@ -380,7 +435,9 @@ pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime. Each step loads
+/// and stores 8 floats at `i` with `i + 8 <= src.len()`, and `dst` is
+/// resliced to `src.len()` first (a bounds-checked panic if shorter).
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn slice_add(dst: &mut [f32], src: &[f32]) {
     let n = src.len();
@@ -401,7 +458,9 @@ pub(crate) unsafe fn slice_add(dst: &mut [f32], src: &[f32]) {
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime. Each step loads
+/// and stores 8 floats at `i` with `i + 8 <= src.len()`, and `dst` is
+/// resliced to `src.len()` first (a bounds-checked panic if shorter).
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn slice_sub(dst: &mut [f32], src: &[f32]) {
     let n = src.len();
@@ -424,7 +483,9 @@ pub(crate) unsafe fn slice_sub(dst: &mut [f32], src: &[f32]) {
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2 support at runtime.
+/// The caller must have verified AVX2 support at runtime. Each step loads
+/// and stores 8 floats at `i` with `i + 8 <= src.len()`, and `dst` is
+/// resliced to `src.len()` first (a bounds-checked panic if shorter).
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn slice_axpy(dst: &mut [f32], a: f32, src: &[f32]) {
     let n = src.len();
@@ -439,5 +500,78 @@ pub(crate) unsafe fn slice_axpy(dst: &mut [f32], a: f32, src: &[f32]) {
     }
     for j in i..n {
         dst[j] += a * src[j];
+    }
+}
+
+/// An accumulator stripe of `NB` 8-lane blocks (`NB·8` output lanes)
+/// starting at lane `c` of a window sum: every tap contributes one masked,
+/// sign-flipped load and one add per block, with the partial sums living
+/// in registers across all taps. Per lane this is the scalar loop's adds in
+/// its order, so the output is bitwise identical.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. The stripe loads
+/// and stores lanes `c..c + NB·8`, so `c + NB·8 <= out.len()`, and every
+/// tap must satisfy `tap.src + out.len() <= src.len()` and
+/// `tap.mask + out.len() <= masks.len()`.
+#[target_feature(enable = "avx2")]
+unsafe fn window_stripe<const NB: usize>(
+    src: &[f32],
+    masks: &[u32],
+    taps: &[WindowTap],
+    out: &mut [f32],
+    c: usize,
+) {
+    let mut acc = [_mm256_setzero_ps(); NB];
+    for t in taps {
+        let s = src.as_ptr().add(t.src + c);
+        let m = masks.as_ptr().add(t.mask + c).cast::<f32>();
+        let flip = _mm256_castsi256_ps(_mm256_set1_epi32(t.sign_bit() as i32));
+        for (k, a) in acc.iter_mut().enumerate() {
+            let v = _mm256_and_ps(_mm256_loadu_ps(s.add(k * 8)), _mm256_loadu_ps(m.add(k * 8)));
+            *a = _mm256_add_ps(*a, _mm256_xor_ps(v, flip));
+        }
+    }
+    for (k, a) in acc.iter().enumerate() {
+        _mm256_storeu_ps(out.as_mut_ptr().add(c + k * 8), *a);
+    }
+}
+
+/// The signed, lane-masked window sum of
+/// [`super::KernelDispatch::window_sum`]: 64-lane register stripes while
+/// they fit, then one more that ends at the last lane when over 32 lanes
+/// are left, and otherwise 8-lane stripes, the last of them ending at the
+/// last lane. A stripe ending at the last lane overlaps the one before it
+/// and recomputes those lanes with the same adds in the same order, so it
+/// rewrites them with the same bits. Windows shorter than 8 lanes run the
+/// scalar loop.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime, and every tap
+/// must satisfy `tap.src + out.len() <= src.len()` and
+/// `tap.mask + out.len() <= masks.len()` (the dispatch asserts both): the
+/// stripes only touch lanes below `out.len()`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn window_sum(src: &[f32], masks: &[u32], taps: &[WindowTap], out: &mut [f32]) {
+    let n = out.len();
+    if n < 8 {
+        return super::scalar::window_sum(src, masks, taps, out);
+    }
+    let mut c = 0;
+    while c + 64 <= n {
+        window_stripe::<8>(src, masks, taps, out, c);
+        c += 64;
+    }
+    if c < n && n >= 64 && n - c > 32 {
+        return window_stripe::<8>(src, masks, taps, out, n - 64);
+    }
+    while c + 8 <= n {
+        window_stripe::<1>(src, masks, taps, out, c);
+        c += 8;
+    }
+    if c < n {
+        window_stripe::<1>(src, masks, taps, out, n - 8);
     }
 }

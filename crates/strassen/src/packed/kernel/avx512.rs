@@ -41,7 +41,11 @@ use super::PackedView;
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX-512 F + VPOPCNTDQ support at runtime.
+/// The caller must have verified AVX-512 F + VPOPCNTDQ support at runtime,
+/// and `planes.len() >= 8 · v.words_per_row`. Block `blk` loads words
+/// `blk·8..blk·8 + 8 <= words_per_row` of each bounds-checked row slice and
+/// of each active plane; the paired step loads words `rem..rem + 4` (only
+/// when `words_per_row − rem >= 4`) of the rows and of planes 0 to 7.
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
 pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut [i32]) {
     let wpr = v.words_per_row;

@@ -33,7 +33,13 @@
 //!   [`KernelDispatch::slice_sub`] / [`KernelDispatch::slice_axpy`]) for
 //!   the depthwise tap loops — element-wise with no reassociation (the
 //!   SIMD `axpy` multiplies then adds, never fusing), so also bitwise
-//!   identical across backends.
+//!   identical across backends;
+//! * the **signed window sum** ([`KernelDispatch::window_sum`]) for the
+//!   depthwise layers: every output lane sums its taps' masked, signed
+//!   source lanes in tap order, with the partial sums held in registers
+//!   across all taps — element-wise again, so bitwise identical across
+//!   backends. AVX2 (and AVX-512, which shares it) runs intrinsics; scalar
+//!   and NEON share one portable loop.
 //!
 //! The backend is chosen **once** per process by [`KernelDispatch::get`]:
 //! the `THNT_KERNEL` environment variable
@@ -53,9 +59,10 @@
 //! `crates/strassen/tests/kernel_equivalence.rs` pin exactly this
 //! contract. Within one backend, results are deterministic and
 //! batch-size-invariant: every sample/row is reduced in the same order
-//! whether it arrives alone or in a batch. The bit-sliced popcount family
-//! and the element-wise slice ops are the exception: integer arithmetic
-//! and element-wise f32 respectively, bitwise identical everywhere.
+//! whether it arrives alone or in a batch. The bit-sliced popcount family,
+//! the element-wise slice ops and the window sum are the exception:
+//! integer arithmetic and element-wise f32 respectively, bitwise identical
+//! everywhere.
 
 use std::sync::OnceLock;
 
@@ -85,6 +92,27 @@ pub struct PackedView<'a> {
     pub plus: &'a [u64],
     /// The `−1` bitplane, same layout. Never overlaps `plus`.
     pub minus: &'a [u64],
+}
+
+/// One term of a [`KernelDispatch::window_sum`]: the source window
+/// starting at `src`, AND-ed lane by lane with the mask run starting at
+/// `mask`, and subtracted instead of added when `negate` is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowTap {
+    /// Index of the window's first element in the source slice.
+    pub src: usize,
+    /// Index of the window's first lane mask in the mask slice.
+    pub mask: usize,
+    /// Whether the window is subtracted (its IEEE sign bit flipped).
+    pub negate: bool,
+}
+
+impl WindowTap {
+    /// The XOR that applies the tap's sign to a lane's bits.
+    #[inline(always)]
+    pub(crate) fn sign_bit(&self) -> u32 {
+        u32::from(self.negate) << 31
+    }
 }
 
 /// A compute-kernel backend identity.
@@ -427,6 +455,57 @@ impl KernelDispatch {
             other => unreachable!("unsupported kernel {other:?} escaped construction"),
         }
     }
+
+    /// Signed, lane-masked window sum: for every `i < out.len()`,
+    ///
+    /// ```text
+    /// out[i] = +0.0 + t₀(i) + t₁(i) + …   (left to right, over `taps`)
+    /// tₖ(i)  = bits(src[tap.src + i]) & masks[tap.mask + i], sign flipped if tap.negate
+    /// ```
+    ///
+    /// An all-ones mask keeps a lane and a zero mask turns it into ±0.0.
+    /// The partial sums stay in registers across all taps and every output
+    /// lane is reduced in tap order, so every backend is bitwise identical
+    /// to the scalar loop. Adding ±0.0 leaves any sum that is not −0.0
+    /// unchanged, and a sum seeded with +0.0 never becomes −0.0, so a
+    /// masked lane is exactly a skipped add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tap's window `src[tap.src..tap.src + out.len()]` or mask
+    /// run `masks[tap.mask..tap.mask + out.len()]` runs past its slice: the
+    /// SIMD loops read `out.len()` lanes from both.
+    #[inline]
+    pub fn window_sum(&self, src: &[f32], masks: &[u32], taps: &[WindowTap], out: &mut [f32]) {
+        let n = out.len();
+        for t in taps {
+            assert!(
+                n <= src.len() && t.src <= src.len() - n,
+                "window_sum tap window {}..{} past its source of {}",
+                t.src,
+                t.src.saturating_add(n),
+                src.len()
+            );
+            assert!(
+                n <= masks.len() && t.mask <= masks.len() - n,
+                "window_sum tap mask run {}..{} past its {} masks",
+                t.mask,
+                t.mask.saturating_add(n),
+                masks.len()
+            );
+        }
+        match self.kernel {
+            // One portable loop: NEON intrinsics would have no test host.
+            Kernel::Scalar | Kernel::Neon => scalar::window_sum(src, masks, taps, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `KernelDispatch` construction verified AVX2 support
+            // (Avx512 support implies it — the f32 loops are shared), and
+            // every tap's window and mask run were bounds-checked above.
+            Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::window_sum(src, masks, taps, out) },
+            #[allow(unreachable_patterns)]
+            other => unreachable!("unsupported kernel {other:?} escaped construction"),
+        }
+    }
 }
 
 /// Bit-significance weight of plane `b` of a two's-complement bit-sliced
@@ -514,7 +593,10 @@ pub(crate) type StripeFn = unsafe fn(&[f32], usize, &[(u32, u32)], &mut [f32], u
 /// # Safety
 ///
 /// The caller must guarantee the CPU supports whatever target features the
-/// stripe functions were compiled with.
+/// stripe functions were compiled with, and `md.len() == v.cols · p`: each
+/// stripe loads a `p`-float row of `md` per set bit, and a set bit always
+/// names a column below `v.cols`. Stripes are only called with
+/// `c + width <= p`.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn rhs_rows_striped(

@@ -52,6 +52,11 @@ const fn build_mask_lut() -> [[u32; 4]; 16] {
 
 /// The masked activations for one 4-lane group: lanes whose weight bit is
 /// clear are zeroed.
+///
+/// # Safety
+///
+/// The caller must have verified NEON support at runtime. The load reads
+/// one whole 16-byte table row, and the row index is bounds-checked.
 #[inline]
 #[target_feature(enable = "neon")]
 unsafe fn masked(xv: float32x4_t, nibble: usize) -> float32x4_t {
@@ -60,6 +65,11 @@ unsafe fn masked(xv: float32x4_t, nibble: usize) -> float32x4_t {
 }
 
 /// One group's ±masked activations: `(x & plus_mask) − (x & minus_mask)`.
+///
+/// # Safety
+///
+/// The caller must have verified NEON support at runtime. The only loads
+/// are [`masked`]'s bounds-checked table rows.
 #[inline]
 #[target_feature(enable = "neon")]
 unsafe fn group_delta(xv: float32x4_t, pn: usize, mn: usize) -> float32x4_t {
@@ -81,6 +91,13 @@ use super::tail_dot;
 /// tail columns via the scalar bit iteration. Even groups accumulate into
 /// `a0`, odd into `a1` — [`row_dot_tile`] uses the same schedule so batched
 /// and single-sample results are bitwise identical.
+///
+/// # Safety
+///
+/// The caller must have verified NEON support at runtime. Every vector
+/// load reads 4 floats of `x` at a multiple of 4 below
+/// `(x.len() / 4) · 4`, so it ends inside `x`; the row words are read with
+/// bounds checks.
 #[target_feature(enable = "neon")]
 unsafe fn row_dot(plus_row: &[u64], minus_row: &[u64], x: &[f32]) -> f32 {
     let ngroups = x.len() / 4;
@@ -120,7 +137,9 @@ unsafe fn row_dot(plus_row: &[u64], minus_row: &[u64], x: &[f32]) -> f32 {
 ///
 /// # Safety
 ///
-/// The caller must have verified NEON support at runtime.
+/// The caller must have verified NEON support at runtime. [`row_dot`]
+/// bounds its loads by `x.len()`; the dispatch guarantees
+/// `x.len() == v.cols`, which keeps the row words it indexes in range.
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn matvec_into(v: &PackedView<'_>, x: &[f32], y: &mut [f32]) {
     let wpr = v.words_per_row;
@@ -135,6 +154,12 @@ pub(crate) unsafe fn matvec_into(v: &PackedView<'_>, x: &[f32], y: &mut [f32]) {
 /// the tile. Per sample, the group order and accumulator schedule are
 /// identical to [`row_dot`], so the result is bitwise the same as running
 /// the sample alone.
+///
+/// # Safety
+///
+/// The caller must have verified NEON support at runtime. Sample `ti < t`
+/// is read at `x[ti·cols..(ti + 1)·cols]` by 4-float loads below
+/// `(cols / 4) · 4`, so `x.len() >= t · cols`; `t <= SAMPLE_TILE`.
 #[target_feature(enable = "neon")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn row_dot_tile(
@@ -190,7 +215,9 @@ unsafe fn row_dot_tile(
 ///
 /// # Safety
 ///
-/// The caller must have verified NEON support at runtime.
+/// The caller must have verified NEON support at runtime. Each tile hands
+/// [`row_dot_tile`] a bounds-checked slice of exactly `t · v.cols` floats;
+/// the dispatch guarantees `x.len() == ns · v.cols`.
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn matmul_samples(v: &PackedView<'_>, x: &[f32], out: &mut [f32]) {
     let (rows, cols, wpr) = (v.rows, v.cols, v.words_per_row);
@@ -220,6 +247,13 @@ pub(crate) unsafe fn matmul_samples(v: &PackedView<'_>, x: &[f32], out: &mut [f3
 /// list. The sign is applied by XOR-ing the IEEE sign bit, so per element
 /// this performs exactly the scalar backend's adds in exactly its order —
 /// the output is bitwise identical.
+///
+/// # Safety
+///
+/// The caller must have verified NEON support at runtime. The stripe reads
+/// and writes columns `c..c + NB·4`, so `c + NB·4 <= p <= orow.len()`, and
+/// every entry `(j, _)` of `bits` must name a row of `md`:
+/// `(j + 1) · p <= md.len()`.
 #[target_feature(enable = "neon")]
 unsafe fn rhs_stripe<const NB: usize>(
     md: &[f32],
@@ -249,7 +283,10 @@ unsafe fn rhs_stripe<const NB: usize>(
 ///
 /// # Safety
 ///
-/// The caller must have verified NEON support at runtime.
+/// The caller must have verified NEON support at runtime, and
+/// `md.len() == v.cols · p`: the stripes load whole `p`-float rows of `md`
+/// for every set bit, and a set bit always names a column below `v.cols`
+/// (padding bits are clear, which every constructor checks).
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn rhs_rows(
     v: &PackedView<'_>,
@@ -269,7 +306,10 @@ pub(crate) unsafe fn rhs_rows(
 ///
 /// # Safety
 ///
-/// The caller must have verified NEON support at runtime.
+/// The caller must have verified NEON support at runtime, and
+/// `planes.len() >= 8 · v.words_per_row`: block `blk` loads words
+/// `blk·2..blk·2 + 2 <= words_per_row` of each bounds-checked row slice and
+/// of each active plane.
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut [i32]) {
     let wpr = v.words_per_row;
@@ -302,7 +342,9 @@ pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut
 ///
 /// # Safety
 ///
-/// The caller must have verified NEON support at runtime.
+/// The caller must have verified NEON support at runtime. Each step loads
+/// and stores 4 floats at `i` with `i + 4 <= src.len()`, and `dst` is
+/// resliced to `src.len()` first (a bounds-checked panic if shorter).
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn slice_add(dst: &mut [f32], src: &[f32]) {
     let n = src.len();
@@ -323,7 +365,9 @@ pub(crate) unsafe fn slice_add(dst: &mut [f32], src: &[f32]) {
 ///
 /// # Safety
 ///
-/// The caller must have verified NEON support at runtime.
+/// The caller must have verified NEON support at runtime. Each step loads
+/// and stores 4 floats at `i` with `i + 4 <= src.len()`, and `dst` is
+/// resliced to `src.len()` first (a bounds-checked panic if shorter).
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn slice_sub(dst: &mut [f32], src: &[f32]) {
     let n = src.len();
@@ -346,7 +390,9 @@ pub(crate) unsafe fn slice_sub(dst: &mut [f32], src: &[f32]) {
 ///
 /// # Safety
 ///
-/// The caller must have verified NEON support at runtime.
+/// The caller must have verified NEON support at runtime. Each step loads
+/// and stores 4 floats at `i` with `i + 4 <= src.len()`, and `dst` is
+/// resliced to `src.len()` first (a bounds-checked panic if shorter).
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn slice_axpy(dst: &mut [f32], a: f32, src: &[f32]) {
     let n = src.len();

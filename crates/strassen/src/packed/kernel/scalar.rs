@@ -5,7 +5,7 @@
 //! accumulation, no reassociation — and serve as the ground truth the SIMD
 //! backends are property-tested against.
 
-use super::PackedView;
+use super::{PackedView, WindowTap};
 
 /// Bits per storage word of one bitplane.
 const WORD_BITS: usize = 64;
@@ -122,6 +122,24 @@ pub(crate) fn slice_sub(dst: &mut [f32], src: &[f32]) {
 pub(crate) fn slice_axpy(dst: &mut [f32], a: f32, src: &[f32]) {
     for (d, &s) in dst[..src.len()].iter_mut().zip(src) {
         *d += a * s;
+    }
+}
+
+/// The signed, lane-masked window sum of
+/// [`super::KernelDispatch::window_sum`]: one pass per tap, each an
+/// element-wise masked, signed add. Per lane this is `+0.0` plus every tap
+/// in tap order, the same adds the SIMD stripes keep in registers. The
+/// NEON dispatch runs this loop too, and the AVX2 backend runs it on
+/// windows shorter than one 8-lane stripe.
+pub(crate) fn window_sum(src: &[f32], masks: &[u32], taps: &[WindowTap], out: &mut [f32]) {
+    let n = out.len();
+    out.fill(0.0);
+    for t in taps {
+        let sign = t.sign_bit();
+        let lanes = src[t.src..t.src + n].iter().zip(&masks[t.mask..t.mask + n]);
+        for (o, (&v, &m)) in out.iter_mut().zip(lanes) {
+            *o += f32::from_bits((v.to_bits() & m) ^ sign);
+        }
     }
 }
 

@@ -444,13 +444,30 @@ impl<'a> PackedTernary<'a> {
     pub fn matmul_rhs_into_with(&self, dispatch: &KernelDispatch, m: &Tensor, out: &mut [f32]) {
         assert_eq!(m.shape().rank(), 2, "packed matmul_rhs expects a 2-D matrix");
         assert_eq!(m.dims()[0], self.cols, "packed matmul_rhs dimension mismatch");
-        let p = m.dims()[1];
+        self.matmul_rhs_slice_into_with(dispatch, m.data(), m.dims()[1], out);
+    }
+
+    /// [`Self::matmul_rhs_into_with`] over a column matrix given as a flat
+    /// row-major `[cols, p]` slice — how the packed convolution engine
+    /// hands a 1×1 convolution its input sample in place, with no copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.len() != cols·p` or `out.len() != rows·p`.
+    pub fn matmul_rhs_slice_into_with(
+        &self,
+        dispatch: &KernelDispatch,
+        m: &[f32],
+        p: usize,
+        out: &mut [f32],
+    ) {
+        assert_eq!(m.len(), self.cols * p, "packed matmul_rhs dimension mismatch");
         assert_eq!(out.len(), self.rows * p, "packed matmul_rhs output length mismatch");
         out.fill(0.0);
         if self.rows == 0 || p == 0 {
             return;
         }
-        dispatch.rhs_rows(&self.view(), m.data(), p, 0, out);
+        dispatch.rhs_rows(&self.view(), m, p, 0, out);
     }
 
     /// The exact number of additions/subtractions [`Self::matvec`] executes:

@@ -11,8 +11,9 @@
 //!   row's ℓ₁ mass (the bound on any partial sum, hence on the rounding
 //!   error each reordered add can introduce). Exact equality would be a
 //!   wrong spec — it only holds when every row sum is exact in `f32`.
-//! * `matmul_rhs` — the SIMD version vectorises an *element-wise* slice
-//!   add, which reorders nothing, so backends must agree **bitwise**.
+//! * `matmul_rhs`, the slice ops and `window_sum` — the SIMD versions
+//!   vectorise *element-wise* adds, which reorder nothing, so backends
+//!   must agree **bitwise**.
 //! * within one backend, a sample's result must not depend on the batch it
 //!   arrived in (the serving layer's batching-invariance guarantee).
 //!
@@ -24,7 +25,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use thnt_strassen::{BitSliced, Kernel, KernelDispatch, PackedTernary};
+use thnt_strassen::{BitSliced, Kernel, KernelDispatch, PackedTernary, WindowTap};
 use thnt_tensor::Tensor;
 
 /// Column widths that straddle the u64 word boundary and the 8/4-lane SIMD
@@ -139,14 +140,16 @@ proptest! {
     }
 
     /// `matmul_rhs` vectorises an element-wise slice add — no
-    /// reassociation — so every backend must agree with scalar bitwise.
+    /// reassociation — so every backend must agree with scalar bitwise,
+    /// at widths under one 8-column stripe, between stripes and past the
+    /// 64-column wide stripe.
     #[test]
     fn simd_matmul_rhs_is_bitwise_scalar(
         seed in 0u64..1_000_000,
         rows in 1usize..16,
         colsel in 0usize..7,
         rawcols in 1usize..200,
-        p in 1usize..30,
+        p in 1usize..200,
     ) {
         let cols = pick_cols(colsel, rawcols);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5A5A);
@@ -235,6 +238,57 @@ proptest! {
         }
     }
 
+    /// The signed window sum reduces every lane in tap order on every
+    /// backend, so each must match scalar **bitwise** — on windows of 0 to
+    /// 300 lanes (under 8, and off multiples of 8 and 64, where the stripes
+    /// end), 0 to 9 taps anywhere in the source, random masks and signs,
+    /// and sources holding −0.0 and ±inf.
+    #[test]
+    fn window_sum_is_bitwise_scalar(
+        seed in 0u64..1_000_000,
+        len in 0usize..=300,
+        ntaps in 0usize..=9,
+        slack in 0usize..40,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+        let mut src = random_activations(len + slack, &mut rng);
+        for v in src.iter_mut() {
+            match rng.gen_range(0..16) {
+                0 => *v = -0.0,
+                1 => *v = f32::INFINITY,
+                2 => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        let masks: Vec<u32> =
+            (0..len + slack).map(|_| if rng.gen_bool(0.7) { u32::MAX } else { 0 }).collect();
+        let taps: Vec<WindowTap> = (0..ntaps)
+            .map(|_| WindowTap {
+                src: rng.gen_range(0..=slack),
+                mask: rng.gen_range(0..=slack),
+                negate: rng.gen_bool(0.5),
+            })
+            .collect();
+        let mut want = vec![f32::NAN; len];
+        scalar().window_sum(&src, &masks, &taps, &mut want);
+        // The scalar loop itself: +0.0, then every tap in order.
+        for (i, w) in want.iter().enumerate() {
+            let mut acc = 0.0f32;
+            for t in &taps {
+                let v = f32::from_bits(src[t.src + i].to_bits() & masks[t.mask + i]);
+                acc += if t.negate { -v } else { v };
+            }
+            prop_assert_eq!(acc.to_bits(), w.to_bits(), "scalar lane {} diverged", i);
+        }
+        for d in simd_backends() {
+            let mut got = vec![f32::NAN; len];
+            d.window_sum(&src, &masks, &taps, &mut got);
+            let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&wb, &gb, "kernel {} window_sum diverged bitwise", d.kernel());
+        }
+    }
+
     /// The default dispatch route (`THNT_KERNEL` override or detection —
     /// whatever this process resolved) stays within rounding of the scalar
     /// reference. CI runs the suite once per backend through this test.
@@ -257,4 +311,16 @@ proptest! {
             prop_assert!((a - b).abs() <= tol, "default dispatch diverged: {a} vs {b}");
         }
     }
+}
+
+/// The SIMD stripes read a tap's whole window through raw pointers, so the
+/// safe dispatch method must refuse a window that runs past its source on
+/// every backend, before any kernel runs.
+#[test]
+#[should_panic(expected = "past its source")]
+fn window_sum_rejects_a_tap_window_past_its_source() {
+    let (src, masks) = (vec![1.0f32; 20], vec![u32::MAX; 20]);
+    let tap = WindowTap { src: 5, mask: 0, negate: false };
+    let mut out = vec![0.0f32; 16];
+    KernelDispatch::get().window_sum(&src, &masks, &[tap], &mut out);
 }

@@ -94,34 +94,51 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
     assert_eq!(input.shape().rank(), 3, "im2col expects [c, h, w]");
     let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
     let (oh, ow) = spec.out_dims(h, w);
-    let rows = c * spec.kh * spec.kw;
+    let mut out = Tensor::zeros(&[c * spec.kh * spec.kw, oh * ow]);
+    im2col_into(input.data(), (c, h, w), spec, out.data_mut());
+    out
+}
+
+/// [`im2col`] of one flat `[c, h, w]` sample into a caller-provided
+/// `[c·kh·kw, oh·ow]` row-major buffer. Every element is written, padding
+/// taps as zeros, so one buffer serves any number of samples.
+///
+/// # Panics
+///
+/// Panics if `src.len() != c·h·w` or `out` is not `[c·kh·kw, oh·ow]`.
+pub fn im2col_into(
+    src: &[f32],
+    (c, h, w): (usize, usize, usize),
+    spec: &Conv2dSpec,
+    out: &mut [f32],
+) {
+    assert_eq!(src.len(), c * h * w, "im2col input length mismatch");
+    let (oh, ow) = spec.out_dims(h, w);
     let cols = oh * ow;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    let src = input.data();
-    let dst = out.data_mut();
+    assert_eq!(out.len(), c * spec.kh * spec.kw * cols, "im2col output length mismatch");
     for ic in 0..c {
         for ki in 0..spec.kh {
             for kj in 0..spec.kw {
                 let r = (ic * spec.kh + ki) * spec.kw + kj;
-                let drow = &mut dst[r * cols..(r + 1) * cols];
-                for oy in 0..oh {
+                for (oy, orow) in out[r * cols..(r + 1) * cols].chunks_mut(ow.max(1)).enumerate() {
                     let iy = (oy * spec.stride_h + ki) as isize - spec.pad_top as isize;
                     if iy < 0 || iy >= h as isize {
+                        orow.fill(0.0);
                         continue;
                     }
                     let src_row = (ic * h + iy as usize) * w;
-                    for ox in 0..ow {
+                    for (ox, o) in orow.iter_mut().enumerate() {
                         let ix = (ox * spec.stride_w + kj) as isize - spec.pad_left as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        drow[oy * ow + ox] = src[src_row + ix as usize];
+                        *o = if ix < 0 || ix >= w as isize {
+                            0.0
+                        } else {
+                            src[src_row + ix as usize]
+                        };
                     }
                 }
             }
         }
     }
-    out
 }
 
 /// Scatter-adds a column matrix `[c·kh·kw, oh·ow]` back into a `[c, h, w]`
@@ -301,6 +318,19 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n: usize = dims.iter().product();
         Tensor::from_vec((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(), dims)
+    }
+
+    #[test]
+    fn im2col_into_overwrites_a_reused_buffer() {
+        // One buffer, dirty from a previous sample, must come out equal to
+        // a fresh `im2col`, padding zeros included.
+        let spec = Conv2dSpec::same(9, 6, 4, 3, 2, 1);
+        let x = random(&[2, 9, 6], 30);
+        let want = im2col(&x, &spec);
+        let mut buf = vec![f32::NAN; want.numel()];
+        im2col_into(x.data(), (2, 9, 6), &spec, &mut buf);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&buf), bits(want.data()));
     }
 
     /// Direct (quadruple-loop) convolution reference.

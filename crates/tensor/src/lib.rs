@@ -35,7 +35,7 @@ pub mod quantize;
 pub mod shape;
 pub mod tensor;
 
-pub use conv::{col2im, conv2d, depthwise_conv2d, im2col, Conv2dSpec};
+pub use conv::{col2im, conv2d, depthwise_conv2d, im2col, im2col_into, Conv2dSpec};
 pub use init::{gaussian, kaiming_normal, uniform_init, xavier_uniform};
 pub use matmul::{matmul, matmul_nt, matmul_tn, matvec};
 pub use par::{num_threads, parallel_for, parallel_zip_chunks};

@@ -20,8 +20,8 @@
 //!    `s_in · â[k]`, and the output stage `a_ch · s_h` / `a_ch · bias + b`
 //!    with any following batch-norm affine `(a, b)` folded in.
 //! 3. **Inference** quantizes each activation tensor once
-//!    (`q = clamp(round(x/s), −127, 127)`, stored as
-//!    [`thnt_strassen::BitSliced`] planes) and evaluates
+//!    (`q = clamp(round(x/s), −127, 127)`, stored as bit planes) and
+//!    evaluates
 //!
 //!    ```text
 //!    h_int = W_b · q          (AND+popcount, exact i32)
@@ -31,19 +31,28 @@
 //!    out   = (a ⊙ s_h) · y_int + (a ⊙ bias + b)
 //!    ```
 //!
+//!    The dense layers and the tree head hold each sample as one
+//!    [`thnt_strassen::BitSliced`] vector. A convolution runs each sample
+//!    channel-major from input to output: its `[k × positions]` column
+//!    matrix and its `[r × positions]` hidden map are bit-sliced as
+//!    [`thnt_strassen::BitSlicedColumns`], the positions minor, so each
+//!    product covers every position in one kernel call and writes the
+//!    `[channels × positions]` rows the next stage reads, with no per-position
+//!    loop and no transpose.
+//!
 //!    Depthwise taps, ReLU, pooling and the tree's sigmoid/tanh routing
 //!    stay in f32 — they are a vanishing fraction of the arithmetic.
 //!
-//! The integer matvecs dispatch through the same
+//! The integer products and the quantizes dispatch through the same
 //! [`thnt_strassen::KernelDispatch`] / `THNT_KERNEL` contract as the f32
 //! engine, so `scalar`, `avx2`, `avx512` and `neon` backends all serve the
 //! quantized path — bitwise identically, because the accumulation is
-//! integral.
+//! integral and every quantize rounds by one formula.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use thnt_quant::{ActivationProfile, CalibrationMethod, RangeObserver};
-use thnt_strassen::{BitSliced, KernelDispatch, PackedTernary};
+use thnt_strassen::{BitSliced, BitSlicedColumns, KernelDispatch, PackedTernary};
 use thnt_tensor::{global_avg_pool, im2col, Conv2dSpec, Tensor};
 
 use crate::engine::{
@@ -195,9 +204,9 @@ impl QuantDense {
     }
 }
 
-/// A strassenified convolution with prefolded requantization constants:
-/// per output position the dense pipeline runs over the position's im2col
-/// patch.
+/// A strassenified convolution with prefolded requantization constants,
+/// run channel-major: each sample's column matrix is bit-sliced with the
+/// positions minor, so both products cover every output position at once.
 #[derive(Debug, Clone, PartialEq)]
 struct QuantConv2d {
     wb: PackedTernary<'static>,
@@ -238,8 +247,12 @@ impl QuantConv2d {
         })
     }
 
-    /// Forward: `[n, ic, h, w] → [n, oc, oh, ow]` with every output
-    /// position's patch bit-sliced and popcounted.
+    /// Forward: `[n, ic, h, w] → [n, oc, oh, ow]`. Per sample, the
+    /// `[k × positions]` column matrix is quantized at `in_scale`, `W_b`
+    /// popcounts it into the `[r × positions]` hidden map, each hidden row
+    /// is dequantized by its `s_in·â` and the map requantized at `s_h`, and
+    /// `W_c`'s `[oc × positions]` product lands in the output rows through
+    /// `a·y + b`.
     fn forward(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
         let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.out_dims(h, w);
@@ -249,28 +262,31 @@ impl QuantConv2d {
         if n == 0 || oc * spatial == 0 {
             return y;
         }
-        let mut patches = BitSliced::zeroed(spatial, k);
-        let mut hq = BitSliced::zeroed(spatial, r);
-        let mut h_int = vec![0i32; spatial * r];
-        let mut h_f = vec![0f32; spatial * r];
-        let mut y_int = vec![0i32; spatial * oc];
+        let mut xq = BitSlicedColumns::zeroed(k, spatial);
+        let mut hq = BitSlicedColumns::zeroed(r, spatial);
+        let mut h_int = vec![0i32; r * spatial];
+        let mut h_f = vec![0f32; r * spatial];
+        let mut y_int = vec![0i32; oc * spatial];
         let mut cols = Vec::new();
         let plane = ic * h * w;
         for s in 0..n {
             let sample = &x.data()[s * plane..(s + 1) * plane];
             let m = conv_columns(&self.spec, sample, (ic, h, w), &mut cols);
-            patches.quantize_columns_into(m, self.in_scale);
-            self.wb.bitsliced_matmul_into_with(d, &patches, &mut h_int);
-            for (i, (hf, &hi)) in h_f.iter_mut().zip(h_int.iter()).enumerate() {
-                *hf = hi as f32 * self.hidden_dequant[i % r];
+            xq.quantize_into_with(d, m, self.in_scale);
+            self.wb.bitsliced_matmul_rhs_into_with(d, &xq, &mut h_int);
+            let rows = h_f.chunks_exact_mut(spatial).zip(h_int.chunks_exact(spatial));
+            for ((hf, hi), &dq) in rows.zip(&self.hidden_dequant) {
+                for (f, &i) in hf.iter_mut().zip(hi) {
+                    *f = i as f32 * dq;
+                }
             }
-            hq.quantize_into(&h_f, self.hidden_scale);
-            self.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
+            hq.quantize_into_with(d, &h_f, self.hidden_scale);
+            self.wc.bitsliced_matmul_rhs_into_with(d, &hq, &mut y_int);
             let dst = &mut y.data_mut()[s * oc * spatial..(s + 1) * oc * spatial];
-            for pos in 0..spatial {
-                for ch in 0..oc {
-                    dst[ch * spatial + pos] =
-                        self.out_scale[ch] * y_int[pos * oc + ch] as f32 + self.out_shift[ch];
+            let rows = dst.chunks_exact_mut(spatial).zip(y_int.chunks_exact(spatial));
+            for ((o, yi), (&a, &b)) in rows.zip(self.out_scale.iter().zip(&self.out_shift)) {
+                for (v, &i) in o.iter_mut().zip(yi) {
+                    *v = a * i as f32 + b;
                 }
             }
         }
@@ -752,7 +768,7 @@ mod tests {
     use crate::st_hybrid::StHybridNet;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use thnt_strassen::Strassenified;
+    use thnt_strassen::{Kernel, Strassenified};
 
     fn frozen_engine(seed: u64) -> PackedStHybrid<'static> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -777,6 +793,151 @@ mod tests {
             (0..n * 49 * 10).map(|_| rng.gen_range(-1.5f32..1.5)).collect(),
             &[n, 1, 49, 10],
         )
+    }
+
+    /// Bit-slices the columns of the row-major `[len × samples]` matrix
+    /// `m`, column `j` as sample `j`: the per-position engine's patches.
+    fn quantize_columns(m: &[f32], len: usize, samples: usize, scale: f32) -> BitSliced {
+        let t: Vec<f32> = (0..samples * len).map(|j| m[(j % len) * samples + j / len]).collect();
+        BitSliced::quantize(&t, len, scale)
+    }
+
+    /// The per-position conv body the channel-major forward replaced, kept
+    /// as its oracle: each output position's patch is one bit-sliced
+    /// sample, each product one matvec per position, and the
+    /// `[position, channel]` result is transposed into the output rows.
+    fn per_position_forward(c: &QuantConv2d, d: &KernelDispatch, x: &Tensor) -> Tensor {
+        let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+        let (oh, ow) = c.spec.out_dims(h, w);
+        let spatial = oh * ow;
+        let (k, r, oc) = (c.wb.cols(), c.hidden_dequant.len(), c.out_scale.len());
+        let mut y = Tensor::zeros(&[n, oc, oh, ow]);
+        let mut h_int = vec![0i32; spatial * r];
+        let mut y_int = vec![0i32; spatial * oc];
+        let mut cols = Vec::new();
+        let plane = ic * h * w;
+        for s in 0..n {
+            let sample = &x.data()[s * plane..(s + 1) * plane];
+            let m = conv_columns(&c.spec, sample, (ic, h, w), &mut cols);
+            let patches = quantize_columns(m, k, spatial, c.in_scale);
+            c.wb.bitsliced_matmul_into_with(d, &patches, &mut h_int);
+            let h_f: Vec<f32> = h_int
+                .iter()
+                .enumerate()
+                .map(|(i, &hi)| hi as f32 * c.hidden_dequant[i % r])
+                .collect();
+            let hq = BitSliced::quantize(&h_f, r, c.hidden_scale);
+            c.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
+            let dst = &mut y.data_mut()[s * oc * spatial..(s + 1) * oc * spatial];
+            for pos in 0..spatial {
+                for ch in 0..oc {
+                    dst[ch * spatial + pos] =
+                        c.out_scale[ch] * y_int[pos * oc + ch] as f32 + c.out_shift[ch];
+                }
+            }
+        }
+        y
+    }
+
+    fn ternary(rows: usize, cols: usize, rng: &mut SmallRng) -> PackedTernary<'static> {
+        let signs = (0..rows * cols).map(|_| rng.gen_range(-1i32..=1) as f32).collect();
+        PackedTernary::from_tensor(&Tensor::from_vec(signs, &[rows, cols]))
+    }
+
+    /// Values that stress the rounding: NaN, ±inf, ±0.0, magnitudes that
+    /// saturate, every (n + ½)·scale for |n| ≤ 130 and one ulp either side,
+    /// then uniform values across the whole grid.
+    fn rounding_stress(len: usize, scale: f32, rng: &mut SmallRng) -> Vec<f32> {
+        let mut v = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e30, -1e30];
+        v.extend([127.5, -127.5, 200.0, -200.0].map(|q| q * scale));
+        for n in -130i32..=130 {
+            let half = (n as f32 + 0.5) * scale;
+            v.extend([half, half.next_up(), half.next_down()]);
+        }
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+        v.resize(len.min(v.len()), 0.0);
+        while v.len() < len {
+            v.push(rng.gen_range(-135.0f32..135.0) * scale);
+        }
+        v
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// The channel-major conv equals the per-position oracle bit for
+        /// bit on every backend: the paper's first conv (10×4, stride 2,
+        /// SAME on 49×10: k = 40, 125 positions), a 1×1 pointwise conv
+        /// (k = 64), k = 63 and 65, and a two-word k = 72 (ic = 2, 6×6), at
+        /// 1, 7, 8, 9, 17 and 130 positions, in batches of 3 whose samples
+        /// each equal their batch-1 result.
+        #[test]
+        fn channel_major_conv_matches_the_per_position_oracle(
+            seed in 0u64..1_000_000,
+            geometry in 0usize..5,
+            positions in 0usize..6,
+            scale_exp in 0i32..10,
+            flags in 0u8..4,
+        ) {
+            let (pow2_scale, affine) = (flags & 1 == 1, flags & 2 == 2);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (h, w) = [(1, 1), (7, 1), (2, 4), (3, 3), (17, 1), (13, 10)][positions];
+            let (ic, h, w, spec) = match geometry {
+                0 => (1, 49, 10, Conv2dSpec::same(49, 10, 10, 4, 2, 2)),
+                1 => (64, h, w, Conv2dSpec::valid(1, 1, 1, 1)),
+                2 => (7, h, w, Conv2dSpec::same(h, w, 3, 3, 1, 1)),
+                3 => (13, h, w, Conv2dSpec::same(h, w, 5, 1, 1, 1)),
+                _ => (2, h, w, Conv2dSpec::same(h, w, 6, 6, 1, 1)),
+            };
+            let (r, oc) = (rng.gen_range(1..=70), rng.gen_range(1..=20));
+            let k = ic * spec.kh * spec.kw;
+            let packed = PackedConv2d {
+                wb: ternary(r, k, &mut rng),
+                a_hat: (0..r).map(|_| rng.gen_range(0.05f32..2.0)).collect(),
+                wc: ternary(oc, r, &mut rng),
+                bias: (0..oc).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+                spec,
+            };
+            let in_scale = if pow2_scale {
+                (2.0f32).powi(-scale_exp)
+            } else {
+                rng.gen_range(0.001f32..0.5)
+            };
+            let scales = LayerScales { in_scale, hidden_scale: rng.gen_range(0.001f32..0.5) };
+            let aff = ChannelAffine {
+                scale: (0..oc).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
+                shift: (0..oc).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+            };
+            let conv = QuantConv2d::fold(&packed, scales, affine.then_some(&aff)).unwrap();
+            let plane = ic * h * w;
+            let x = Tensor::from_vec(rounding_stress(3 * plane, in_scale, &mut rng), &[3, ic, h, w]);
+            let scalar = KernelDispatch::new(Kernel::Scalar).unwrap();
+            let want = per_position_forward(&conv, &scalar, &x);
+            let backends = Kernel::available().into_iter().map(|k| KernelDispatch::new(k).unwrap());
+            for d in backends.chain([*KernelDispatch::get()]) {
+                let got = conv.forward(&d, &x);
+                proptest::prop_assert_eq!(got.dims(), want.dims());
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "kernel {}", d.kernel());
+                let out = got.numel() / 3;
+                for s in 0..3 {
+                    let one = x.data()[s * plane..(s + 1) * plane].to_vec();
+                    let alone = conv.forward(&d, &Tensor::from_vec(one, &[1, ic, h, w]));
+                    proptest::prop_assert_eq!(
+                        bits(&alone),
+                        bits(&got)[s * out..(s + 1) * out].to_vec(),
+                        "kernel {} sample {} alone",
+                        d.kernel(),
+                        s
+                    );
+                }
+            }
+        }
     }
 
     #[test]

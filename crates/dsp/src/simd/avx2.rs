@@ -31,6 +31,11 @@ use std::arch::x86_64::{
 use super::LOG_EPS;
 
 /// Horizontal sum of all 8 lanes.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. It reads no
+/// memory: every operand is already a register.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn hsum(v: __m256) -> f32 {
@@ -79,10 +84,15 @@ pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// 8-lane natural log via the Cephes reduction; valid for `x > 0`.
-// The polynomial and ln2-split constants are Cephes' exact literals;
-// 0.693_359_375 in particular is 355/512, the hi half of the split, and
-// must not be "simplified" to a shorter decimal.
+/// 8-lane natural log via the Cephes reduction; valid for `x > 0`. The
+/// polynomial and ln2-split constants are Cephes' exact literals;
+/// 0.693_359_375 in particular is 355/512, the hi half of the split, and
+/// must not be "simplified" to a shorter decimal.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. It reads no
+/// memory: every operand is already a register.
 #[allow(clippy::excessive_precision)]
 #[target_feature(enable = "avx2")]
 unsafe fn ln_ps(x: __m256) -> __m256 {
@@ -155,6 +165,11 @@ pub(super) unsafe fn ln_eps(src: &[f32], dst: &mut [f32]) {
 /// `−0.0` in the lanes whose `sign` entry is set, `+0.0` elsewhere: XOR
 /// with it negates exactly those lanes, so `a + (b ^ mask)` computes
 /// `a − b` there, bit for bit what a subtraction gives.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. It reads no
+/// memory: every operand is already a register.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn sign_mask(sign: [bool; 8]) -> __m256 {
@@ -165,6 +180,11 @@ unsafe fn sign_mask(sign: [bool; 8]) -> __m256 {
 /// The complex products `y·w` of eight butterflies, split: the real parts
 /// `y.re·w.re − y.im·w.im` and imaginary parts `y.re·w.im + y.im·w.re`,
 /// each product rounded before the sum, as the portable loop computes them.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. It reads no
+/// memory: every operand is already a register.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn cmul(y_re: __m256, y_im: __m256, w_re: __m256, w_im: __m256) -> (__m256, __m256) {
@@ -175,6 +195,11 @@ unsafe fn cmul(y_re: __m256, y_im: __m256, w_re: __m256, w_im: __m256) -> (__m25
 }
 
 /// `(re² + im²) · inv_n` per lane: one bin's periodogram power.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime. It reads no
+/// memory: every operand is already a register.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn power(re: __m256, im: __m256, inv_n: __m256) -> __m256 {

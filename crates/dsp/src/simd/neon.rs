@@ -48,9 +48,15 @@ pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// 4-lane natural log via the Cephes reduction; valid for `x > 0`.
-// Cephes' exact literals; 0.693_359_375 is 355/512, the hi half of the
-// ln2 split, and must not be "simplified" to a shorter decimal.
+/// 4-lane natural log via the Cephes reduction; valid for `x > 0`. The
+/// constants are Cephes' exact literals; 0.693_359_375 is 355/512, the hi
+/// half of the ln2 split, and must not be "simplified" to a shorter
+/// decimal.
+///
+/// # Safety
+///
+/// The caller must have verified NEON support at runtime. It reads no
+/// memory: every operand is already a register.
 #[allow(clippy::excessive_precision)]
 #[target_feature(enable = "neon")]
 unsafe fn ln_q(x: float32x4_t) -> float32x4_t {

@@ -58,7 +58,7 @@ pub mod ternary;
 pub use conv::{StrassenConv2d, StrassenDepthwise2d};
 pub use cost::{format_mops, CostReport, LayerCost, OpCount};
 pub use dense::StrassenDense;
-pub use packed::bitslice::BitSliced;
+pub use packed::bitslice::{BitSliced, BitSlicedColumns};
 pub use packed::kernel::{Kernel, KernelDispatch, WindowTap};
 pub use packed::PackedTernary;
 pub use schedule::{QuantMode, Strassenified, TrainingPhase};

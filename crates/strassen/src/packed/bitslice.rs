@@ -34,11 +34,21 @@
 //! activations leave the high-magnitude planes empty), which is exact:
 //! an all-zero plane contributes nothing.
 //!
+//! Two operands carry these planes. [`BitSliced`] stores whole vectors one
+//! after another (sample-major), the operand of the dense layers and the
+//! tree head. [`BitSlicedColumns`] stores a matrix's columns side by side
+//! (column-minor), the operand of a convolution's `[k × positions]` column
+//! matrix: one broadcast weight word then meets 8 positions' plane words
+//! in one SIMD register, and
+//! [`super::PackedTernary::bitsliced_matmul_rhs_into_with`] writes the
+//! channel-major `[rows × positions]` map the next stage reads.
+//!
 //! Unlike the f32-lane packed kernels, the bit-sliced path is **bitwise
 //! identical across every [`super::kernel::Kernel`] backend** — the
-//! arithmetic is integral, so no reassociation can change a result.
+//! arithmetic is integral, so no reassociation can change a result, and
+//! every quantize rounds by [`quantize_i8`]'s one formula.
 
-use super::kernel::KernelDispatch;
+use super::kernel::{scalar, KernelDispatch};
 use super::PackedTernary;
 
 /// Bit planes per element: int8 two's complement.
@@ -48,11 +58,23 @@ pub const PLANES: usize = 8;
 const WORD_BITS: usize = 64;
 
 /// Quantizes one value to the signed int8 grid: `clamp(round(x·inv_scale),
-/// −127, 127)` (symmetric — `−128` is never produced, keeping the grid
+/// −127, 127)`, rounding half away from zero, with NaN sent to 0
+/// (symmetric — `−128` is never produced, keeping the grid
 /// sign-symmetric). `inv_scale` is `1/scale`.
+///
+/// This is the one rounding formula of the bit-sliced family, and the
+/// SIMD column quantize computes it lane for lane: clamp `y = x·inv_scale`
+/// to ±127, truncate it toward zero, and add ±1 where the fraction
+/// `y − trunc(y)` is at least ½ in magnitude. The fraction is exact for
+/// `|y| ≤ 127`, so this equals `round()` on every input, while a hardware
+/// conversion alone would round half to even.
 #[inline(always)]
 pub fn quantize_i8(x: f32, inv_scale: f32) -> i8 {
-    (x * inv_scale).round().clamp(-127.0, 127.0) as i8
+    let y = (x * inv_scale).clamp(-127.0, 127.0);
+    // Truncates toward zero; NaN converts to 0 and leaves a NaN fraction.
+    let t = y as i32;
+    let frac = y - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i8
 }
 
 /// A batch of bit-sliced int8 activation vectors.
@@ -113,61 +135,12 @@ impl BitSliced {
         assert_eq!(x.len(), self.samples * self.len, "input/geometry mismatch");
         assert!(scale > 0.0, "scale must be strictly positive, got {scale}");
         let inv = scale.recip();
-        self.planes.fill(0);
-        for (s, sample) in x.chunks_exact(self.len).enumerate() {
-            let base = s * PLANES * self.words;
-            for (i, &v) in sample.iter().enumerate() {
-                let u = quantize_i8(v, inv) as u8;
-                if u == 0 {
-                    continue;
-                }
-                let (w, bit) = (i / WORD_BITS, i % WORD_BITS);
-                for b in 0..PLANES {
-                    self.planes[base + b * self.words + w] |= ((u as u64 >> b) & 1) << bit;
-                }
-            }
-        }
-    }
-
-    /// Quantizes the **columns** of a row-major `len × samples` matrix `m`
-    /// (each column becomes one sample) — the transpose an `im2col` patch
-    /// matrix needs so every output position's patch lands as one
-    /// bit-sliced vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m.len() != len · samples` or `scale` is not strictly
-    /// positive.
-    pub fn quantize_columns(m: &[f32], len: usize, samples: usize, scale: f32) -> Self {
-        let mut out = Self::zeroed(samples, len);
-        out.quantize_columns_into(m, scale);
-        out
-    }
-
-    /// In-place variant of [`Self::quantize_columns`], reusing the plane
-    /// buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m.len() != len · samples` or `scale` is not strictly
-    /// positive.
-    pub fn quantize_columns_into(&mut self, m: &[f32], scale: f32) {
-        assert_eq!(m.len(), self.len * self.samples, "matrix/geometry mismatch");
-        assert!(scale > 0.0, "scale must be strictly positive, got {scale}");
-        let inv = scale.recip();
-        self.planes.fill(0);
-        for (c, row) in m.chunks_exact(self.samples).enumerate() {
-            let (w, bit) = (c / WORD_BITS, c % WORD_BITS);
-            for (s, &v) in row.iter().enumerate() {
-                let u = quantize_i8(v, inv) as u8;
-                if u == 0 {
-                    continue;
-                }
-                let base = s * PLANES * self.words;
-                for b in 0..PLANES {
-                    self.planes[base + b * self.words + w] |= ((u as u64 >> b) & 1) << bit;
-                }
-            }
+        // One sample's planes are a one-column matrix in the column-minor
+        // layout of `BitSlicedColumns`.
+        let samples =
+            x.chunks_exact(self.len).zip(self.planes.chunks_exact_mut(PLANES * self.words));
+        for (sample, planes) in samples {
+            scalar::bitslice_columns(sample, 1, inv, planes);
         }
     }
 
@@ -224,6 +197,83 @@ impl BitSliced {
     }
 }
 
+/// An int8 `rows × cols` matrix bit-sliced along its rows with the
+/// columns minor: the operand of a convolution's column matrix, one column
+/// per output position.
+///
+/// Plane `b`, word `w` (rows `64·w..64·w + 64`), column `c` is the word at
+/// `(b·words + w)·cols + c`, with `words = rows.div_ceil(64)` and the
+/// padding bits clear. So the 8 columns one SIMD register holds are 8
+/// consecutive words, and
+/// [`PackedTernary::bitsliced_matmul_rhs_into_with`] popcounts them
+/// against one broadcast weight word:
+///
+/// ```text
+///            column  c0   c1   c2  …  c(cols−1)
+/// plane 0, word 0 [  w00  w01  w02 …  ]   bit i of w0c = bit 0 of q[i][c]
+/// plane 0, word 1 [  …                ]   (rows 64..128)
+///   ⋮
+/// plane 7, word 0 [  …                ]   sign bits
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitSlicedColumns {
+    rows: usize,
+    cols: usize,
+    words: usize,
+    planes: Vec<u64>,
+}
+
+impl BitSlicedColumns {
+    /// An all-zero `rows × cols` matrix.
+    pub fn zeroed(rows: usize, cols: usize) -> Self {
+        let words = rows.div_ceil(WORD_BITS);
+        Self { rows, cols, words, planes: vec![0; PLANES * words * cols] }
+    }
+
+    /// Re-quantizes the row-major `[rows × cols]` f32 matrix `m` into this
+    /// operand in place, every element rounded by [`quantize_i8`] at
+    /// `1/scale`, through an explicit kernel handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.len() != rows · cols` or `scale` is not strictly
+    /// positive.
+    pub fn quantize_into_with(&mut self, d: &KernelDispatch, m: &[f32], scale: f32) {
+        assert!(scale > 0.0, "scale must be strictly positive, got {scale}");
+        d.bitslice_columns(m, self.rows, self.cols, scale.recip(), &mut self.planes);
+    }
+
+    /// Elements per column.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Every plane word, in the layout above.
+    pub fn planes(&self) -> &[u64] {
+        &self.planes
+    }
+
+    /// Reconstructs element `(i, c)` from its bit column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rows` or `c >= cols`.
+    pub fn get(&self, i: usize, c: usize) -> i8 {
+        assert!(i < self.rows && c < self.cols, "element ({i}, {c}) out of range");
+        let (w, bit) = (i / WORD_BITS, i % WORD_BITS);
+        let mut u = 0u8;
+        for b in 0..PLANES {
+            u |= (((self.planes[(b * self.words + w) * self.cols + c] >> bit) & 1) as u8) << b;
+        }
+        u as i8
+    }
+}
+
 impl PackedTernary<'_> {
     /// Bit-sliced integer matvec `y = W·q` through an explicit kernel
     /// handle: pure AND+popcount over the weight bitplanes and `x`'s
@@ -263,6 +313,24 @@ impl PackedTernary<'_> {
         for (s, y) in out.chunks_exact_mut(self.rows()).enumerate() {
             d.bitslice_matvec(&v, x.sample_planes(s), y);
         }
+    }
+
+    /// Bit-sliced integer product with a column matrix, the popcount twin
+    /// of [`Self::matmul_rhs_slice_into_with`]: `out[r·cols + c] = Wᵣ · x_c`
+    /// as a row-major i32 `[rows × x.cols()]` map, exact and bitwise
+    /// identical on every backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x.rows() == cols` and `out.len() == rows · x.cols()`.
+    pub fn bitsliced_matmul_rhs_into_with(
+        &self,
+        d: &KernelDispatch,
+        x: &BitSlicedColumns,
+        out: &mut [i32],
+    ) {
+        assert_eq!(x.rows(), self.cols(), "column length must equal cols");
+        d.bitslice_rhs(&self.view(), x.planes(), x.cols(), out);
     }
 }
 
@@ -359,11 +427,80 @@ mod tests {
 
     #[test]
     fn column_quantization_transposes() {
-        // 3×2 matrix, column j must land as sample j.
+        // 3×2 matrix, column j must hold the matrix's column j.
         let m = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]; // rows: [1 2], [3 4], [5 6]
-        let b = BitSliced::quantize_columns(&m, 3, 2, 1.0);
-        assert_eq!((b.get(0, 0), b.get(0, 1), b.get(0, 2)), (1, 3, 5));
-        assert_eq!((b.get(1, 0), b.get(1, 1), b.get(1, 2)), (2, 4, 6));
+        for k in Kernel::available() {
+            let mut b = BitSlicedColumns::zeroed(3, 2);
+            b.quantize_into_with(&KernelDispatch::new(k).unwrap(), &m, 1.0);
+            assert_eq!((b.get(0, 0), b.get(1, 0), b.get(2, 0)), (1, 3, 5), "kernel {k}");
+            assert_eq!((b.get(0, 1), b.get(1, 1), b.get(2, 1)), (2, 4, 6), "kernel {k}");
+        }
+    }
+
+    #[test]
+    fn column_product_matches_the_per_column_matvec() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let (rows, len, cols) = (9, 70, 13);
+        let (w, _) = random_ternary(rows, len, &mut rng);
+        let m: Vec<f32> = (0..len * cols).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        for k in Kernel::available() {
+            let d = KernelDispatch::new(k).unwrap();
+            let mut x = BitSlicedColumns::zeroed(len, cols);
+            x.quantize_into_with(&d, &m, 3.0 / 127.0);
+            let mut got = vec![0i32; rows * cols];
+            w.bitsliced_matmul_rhs_into_with(&d, &x, &mut got);
+            for c in 0..cols {
+                let col: Vec<f32> = (0..len).map(|i| m[i * cols + c]).collect();
+                let mut y = vec![0i32; rows];
+                w.bitsliced_matvec_into_with(
+                    &d,
+                    &BitSliced::quantize(&col, len, 3.0 / 127.0),
+                    &mut y,
+                );
+                let got_c: Vec<i32> = (0..rows).map(|r| got[r * cols + c]).collect();
+                assert_eq!(got_c, y, "kernel {k} column {c}");
+            }
+        }
+    }
+
+    /// The trunc-and-adjust formula against `round().clamp()` on every
+    /// f32 within 4 ulps of each half-integer `n + ½` with `|n| ≤ 130`, the
+    /// special values, the subnormals' edges and a strided sweep of all
+    /// bit patterns. The exhaustive check over all 2³² inputs is
+    /// `quantize_i8_is_round_on_every_f32`, run with `--ignored`.
+    #[test]
+    fn quantize_i8_is_round_half_away_from_zero() {
+        let reference = |y: f32| y.round().clamp(-127.0, 127.0) as i8;
+        let mut inputs = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        inputs.extend([f32::MIN_POSITIVE, f32::MAX, f32::MIN, f32::EPSILON]);
+        inputs.extend([1u32, 2, 0x007f_ffff, 0x0040_0000].map(f32::from_bits));
+        for n in -130i32..=130 {
+            let mut lo = n as f32 + 0.5;
+            let mut hi = lo;
+            for _ in 0..4 {
+                (lo, hi) = (lo.next_down(), hi.next_up());
+            }
+            let mut y = lo;
+            while y <= hi {
+                inputs.push(y);
+                y = y.next_up();
+            }
+        }
+        inputs.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
+        for &x in &inputs {
+            for y in [x, -x] {
+                assert_eq!(quantize_i8(y, 1.0), reference(y), "x = {y:e} ({:#010x})", y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 f32 bit patterns; run in release with --ignored"]
+    fn quantize_i8_is_round_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            let y = f32::from_bits(bits);
+            assert_eq!(quantize_i8(y, 1.0), y.round().clamp(-127.0, 127.0) as i8, "{bits:#010x}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!
 //! * [`Kernel::Avx512`] — x86_64 with `vpopcntq`: identical to AVX2 for
 //!   the f32-lane bitplane loops (every AVX-512 host runs them), but the
-//!   bit-sliced popcount family below uses `_mm512_popcnt_epi64` over
-//!   8-word blocks. See the `avx512` module.
+//!   bit-sliced popcount family below uses `_mm512_popcnt_epi64`: over
+//!   8-word blocks of one vector, or over 8 columns of a column-minor
+//!   matrix at once. See the `avx512` module.
 //!
 //! Besides the f32-lane bitplane loops, every backend also implements:
 //!
@@ -28,7 +29,11 @@
 //!   as per-bit u64 planes, a row dot reduced to
 //!   `(x_plane & w_plus).count_ones() − (x_plane & w_minus).count_ones()`
 //!   accumulated with plane shifts — exact integer arithmetic, so every
-//!   backend is bitwise identical here;
+//!   backend is bitwise identical here. Its column-matrix half (the
+//!   crate-private `bitslice_columns` quantize and `bitslice_rhs` product)
+//!   has AVX-512 intrinsics and one portable loop for scalar, AVX2 and
+//!   NEON, and its quantize rounds by
+//!   [`super::bitslice::quantize_i8`]'s formula in every lane;
 //! * **element-wise slice ops** ([`KernelDispatch::slice_add`] /
 //!   [`KernelDispatch::slice_sub`] / [`KernelDispatch::slice_axpy`]) for
 //!   the depthwise tap loops — element-wise with no reassociation (the
@@ -378,6 +383,74 @@ impl KernelDispatch {
             #[cfg(target_arch = "aarch64")]
             // SAFETY: `KernelDispatch` construction verified NEON support.
             Kernel::Neon => unsafe { neon::bitslice_matvec(v, planes, y) },
+            #[allow(unreachable_patterns)]
+            other => unreachable!("unsupported kernel {other:?} escaped construction"),
+        }
+    }
+
+    /// Column-matrix bit-sliced product: `out[r·cols + c] = Wᵣ · x_c`, where
+    /// `x` holds `cols` int8 columns of `v.cols` elements with the columns
+    /// minor (plane `b`, word `w`, column `c` at `(b·wpr + w)·cols + c`).
+    /// Exact integer arithmetic, narrowed to i32 like
+    /// [`Self::bitslice_matvec`], so every backend agrees bit for bit.
+    /// AVX-512 popcounts 8 columns per `vpopcntq`; scalar, AVX2 and NEON
+    /// share one portable loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x.len() == 8 · v.words_per_row · cols` and
+    /// `out.len() == v.rows · cols`: the AVX-512 loop reads and writes
+    /// whole 8-column groups through raw pointers.
+    #[inline]
+    pub(crate) fn bitslice_rhs(&self, v: &PackedView<'_>, x: &[u64], cols: usize, out: &mut [i32]) {
+        let planes = cols.checked_mul(8 * v.words_per_row);
+        assert_eq!(Some(x.len()), planes, "bit-sliced column operand length");
+        assert_eq!(Some(out.len()), v.rows.checked_mul(cols), "bit-sliced column product length");
+        match self.kernel {
+            Kernel::Scalar | Kernel::Avx2 | Kernel::Neon => scalar::bitslice_rhs(v, x, cols, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `KernelDispatch` construction verified AVX-512
+            // vpopcntdq support, and both operand lengths were asserted
+            // above.
+            Kernel::Avx512 => unsafe { avx512::bitslice_rhs(v, x, cols, out) },
+            #[allow(unreachable_patterns)]
+            other => unreachable!("unsupported kernel {other:?} escaped construction"),
+        }
+    }
+
+    /// Column-matrix quantize: bit-slices the row-major `[len × cols]`
+    /// matrix `m` into `out` with the columns minor (element `(i, c)` lands
+    /// in bit `i % 64` of word `(b·words + i/64)·cols + c` of each plane
+    /// `b`, `words = len.div_ceil(64)`), every element rounded by
+    /// [`super::bitslice::quantize_i8`]'s formula at `inv_scale`, and the
+    /// padding bits clear. AVX-512 converts 16 columns per vector; scalar,
+    /// AVX2 and NEON share one portable loop. Both write the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `m.len() == len · cols` and
+    /// `out.len() == 8 · len.div_ceil(64) · cols`: the AVX-512 loop reads
+    /// and writes whole 16-column groups through raw pointers.
+    #[inline]
+    pub(crate) fn bitslice_columns(
+        &self,
+        m: &[f32],
+        len: usize,
+        cols: usize,
+        inv_scale: f32,
+        out: &mut [u64],
+    ) {
+        assert_eq!(Some(m.len()), len.checked_mul(cols), "column quantize matrix length");
+        let planes = cols.checked_mul(8 * len.div_ceil(64));
+        assert_eq!(Some(out.len()), planes, "column quantize plane length");
+        match self.kernel {
+            Kernel::Scalar | Kernel::Avx2 | Kernel::Neon => {
+                scalar::bitslice_columns(m, cols, inv_scale, out)
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `KernelDispatch` construction verified AVX-512F
+            // support, and both operand lengths were asserted above.
+            Kernel::Avx512 => unsafe { avx512::bitslice_columns(m, len, cols, inv_scale, out) },
             #[allow(unreachable_patterns)]
             other => unreachable!("unsupported kernel {other:?} escaped construction"),
         }

@@ -104,6 +104,59 @@ pub(crate) fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut [i32])
     }
 }
 
+/// Column-matrix bit-sliced product of
+/// [`super::KernelDispatch::bitslice_rhs`]: `out[r·cols + c] = Wᵣ · x_c`,
+/// one column per lane of the inner loop. The i32 lanes add with wrapping
+/// arithmetic, which is the matvec's i64 sum narrowed by `as i32`: both are
+/// the exact sum modulo 2³². The `scalar`, `avx2` and `neon` dispatches all
+/// run this loop.
+pub(crate) fn bitslice_rhs(v: &PackedView<'_>, x: &[u64], cols: usize, out: &mut [i32]) {
+    if cols == 0 {
+        return;
+    }
+    let wpr = v.words_per_row;
+    let (active, n) = super::active_planes(x);
+    for (r, orow) in out.chunks_exact_mut(cols).enumerate() {
+        orow.fill(0);
+        let base = r * wpr;
+        for &b in &active[..n] {
+            let weight = super::plane_weight(b);
+            for w in 0..wpr {
+                let (pw, mw) = (v.plus[base + w], v.minus[base + w]);
+                let xs = &x[(b * wpr + w) * cols..][..cols];
+                for (o, &xw) in orow.iter_mut().zip(xs) {
+                    let s = (xw & pw).count_ones() as i32 - (xw & mw).count_ones() as i32;
+                    *o = o.wrapping_add(weight * s);
+                }
+            }
+        }
+    }
+}
+
+/// Column-matrix quantize of [`super::KernelDispatch::bitslice_columns`]:
+/// element `(i, c)` of the row-major `[len × cols]` matrix `m` becomes bit
+/// `i % 64` of word `(b·words + i/64)·cols + c` of every plane `b`. The
+/// `scalar`, `avx2` and `neon` dispatches all run this loop.
+pub(crate) fn bitslice_columns(m: &[f32], cols: usize, inv_scale: f32, out: &mut [u64]) {
+    out.fill(0);
+    if cols == 0 {
+        return;
+    }
+    let words = out.len() / (8 * cols);
+    for (i, row) in m.chunks_exact(cols).enumerate() {
+        let (w, bit) = (i / WORD_BITS, i % WORD_BITS);
+        for (c, &v) in row.iter().enumerate() {
+            let u = u64::from(super::super::bitslice::quantize_i8(v, inv_scale) as u8);
+            if u == 0 {
+                continue;
+            }
+            for b in 0..8 {
+                out[(b * words + w) * cols + c] |= (u >> b & 1) << bit;
+            }
+        }
+    }
+}
+
 /// Element-wise `dst[i] += src[i]`.
 pub(crate) fn slice_add(dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst[..src.len()].iter_mut().zip(src) {

@@ -25,7 +25,9 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use thnt_strassen::{BitSliced, Kernel, KernelDispatch, PackedTernary, WindowTap};
+use thnt_strassen::{
+    BitSliced, BitSlicedColumns, Kernel, KernelDispatch, PackedTernary, WindowTap,
+};
 use thnt_tensor::Tensor;
 
 /// Column widths that straddle the u64 word boundary and the 8/4-lane SIMD
@@ -206,6 +208,84 @@ proptest! {
         prop_assert_eq!(&want[..rows], &got[..]);
     }
 
+    /// The column-matrix popcount product is integer arithmetic too: every
+    /// backend must equal the scalar loop and an i32 Σ sign·q reference
+    /// exactly, for columns of 1 to 200 elements (one to four words) and 0
+    /// to 200 columns (under, on and off the 8-column groups).
+    #[test]
+    fn bitsliced_column_product_is_exact_on_every_backend(
+        seed in 0u64..1_000_000,
+        rows in 1usize..24,
+        len in 1usize..=200,
+        cols in 0usize..=200,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC01);
+        let signs: Vec<i8> = (0..rows * len).map(|_| rng.gen_range(-1i8..=1)).collect();
+        let t = Tensor::from_vec(signs.iter().map(|&s| s as f32).collect(), &[rows, len]);
+        let packed = PackedTernary::from_tensor(&t);
+        let m: Vec<f32> = (0..len * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let mut x = BitSlicedColumns::zeroed(len, cols);
+        x.quantize_into_with(&scalar(), &m, 1.0 / 64.0);
+        let mut want = vec![0i32; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                want[r * cols + c] =
+                    (0..len).map(|i| signs[r * len + i] as i32 * x.get(i, c) as i32).sum();
+            }
+        }
+        let mut reference = vec![0i32; rows * cols];
+        packed.bitsliced_matmul_rhs_into_with(&scalar(), &x, &mut reference);
+        prop_assert_eq!(&want, &reference, "scalar diverged from Σ sign·q");
+        for d in simd_backends() {
+            let mut got = vec![i32::MIN; rows * cols];
+            packed.bitsliced_matmul_rhs_into_with(&d, &x, &mut got);
+            prop_assert_eq!(&want, &got, "kernel {} diverged", d.kernel());
+        }
+    }
+
+    /// Every backend's column quantize writes, for each column, exactly the
+    /// planes `BitSliced::quantize` writes for that column alone, on
+    /// columns holding NaN, ±inf, ±0.0, saturating magnitudes and values at
+    /// (n + ½)·scale and one ulp either side.
+    #[test]
+    fn column_quantize_matches_bitsliced_quantize_per_column(
+        seed in 0u64..1_000_000,
+        len in 1usize..=200,
+        cols in 0usize..=40,
+        scale_exp in 0i32..10,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xB175);
+        let scale = (2.0f32).powi(-scale_exp);
+        let m: Vec<f32> = (0..len * cols)
+            .map(|_| match rng.gen_range(0u32..12) {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => -0.0,
+                4 => rng.gen_range(-1e30f32..1e30),
+                5..=7 => {
+                    let half = (rng.gen_range(-130i32..=130) as f32 + 0.5) * scale;
+                    [half, half.next_up(), half.next_down()][rng.gen_range(0usize..3)]
+                }
+                _ => rng.gen_range(-135.0f32..135.0) * scale,
+            })
+            .collect();
+        let words = len.div_ceil(64);
+        let mut want = vec![0u64; 8 * words * cols];
+        for c in 0..cols {
+            let col: Vec<f32> = (0..len).map(|i| m[i * cols + c]).collect();
+            let one = BitSliced::quantize(&col, len, scale);
+            for (j, &word) in one.sample_planes(0).iter().enumerate() {
+                want[j * cols + c] = word;
+            }
+        }
+        for d in simd_backends().into_iter().chain([scalar()]) {
+            let mut x = BitSlicedColumns::zeroed(len, cols);
+            x.quantize_into_with(&d, &m, scale);
+            prop_assert_eq!(&want[..], x.planes(), "kernel {} planes diverged", d.kernel());
+        }
+    }
+
     /// The element-wise slice family (`slice_add` / `slice_sub` /
     /// `slice_axpy`) reorders nothing and never contracts to FMA, so every
     /// backend must match scalar **bitwise** on lengths straddling the
@@ -309,6 +389,32 @@ proptest! {
         let tol = row_tol(&x);
         for (a, b) in want.iter().zip(&got) {
             prop_assert!((a - b).abs() <= tol, "default dispatch diverged: {a} vs {b}");
+        }
+    }
+}
+
+/// The column quantize is the scalar rounding formula lane for lane on every
+/// backend: over all 2³² f32 bit patterns (as one 64-row word of 1024
+/// columns at a time, at scale 1), each backend's planes equal the scalar
+/// loop's, and the scalar loop's equal `round().clamp()` by
+/// `quantize_i8_is_round_on_every_f32`. Minutes in a debug build; run in
+/// release with `--ignored`.
+#[test]
+#[ignore = "sweeps all 2^32 f32 bit patterns; run in release with --ignored"]
+fn column_quantize_is_exact_on_every_f32() {
+    const COLS: usize = 1024;
+    let block = 64 * COLS;
+    let mut m = vec![0.0f32; block];
+    let mut want = BitSlicedColumns::zeroed(64, COLS);
+    let mut got = want.clone();
+    for start in (0..=u32::MAX as u64).step_by(block) {
+        for (j, v) in m.iter_mut().enumerate() {
+            *v = f32::from_bits((start + j as u64) as u32);
+        }
+        want.quantize_into_with(&scalar(), &m, 1.0);
+        for d in simd_backends() {
+            got.quantize_into_with(&d, &m, 1.0);
+            assert!(want == got, "kernel {} diverged in block {start:#010x}", d.kernel());
         }
     }
 }

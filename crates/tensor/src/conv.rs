@@ -298,7 +298,12 @@ pub fn depthwise_conv2d(
 /// access) ensures 2021-edition closures capture the whole wrapper, keeping
 /// its `Sync` impl in effect.
 struct SendPtr(*mut f32);
+// SAFETY: the pointer names an output buffer that outlives the
+// `parallel_for` scope it crosses, and every iteration writes only its own
+// disjoint sample slice through it, so no two threads touch one element.
 unsafe impl Send for SendPtr {}
+// SAFETY: as for `Send`: shared use only hands each iteration its own
+// disjoint slice.
 unsafe impl Sync for SendPtr {}
 
 impl SendPtr {

@@ -225,7 +225,7 @@ pub(crate) fn conv_columns<'a>(
 /// in registers: the input plane is copied once between zero guard rows,
 /// each tap `(ki, kj)` is the window at offset `ki·w + kj`, and a per-`kj`
 /// lane mask drops the columns that fall off the map. Other geometries run
-/// a tap loop of dispatched slice adds. Both give bitwise the same output.
+/// a scalar tap loop. Both give bitwise the same output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedDepthwise2d<'a> {
     /// Ternary signs of `W_b`, flattened `[c·m·kh·kw]`. Like the
@@ -282,20 +282,6 @@ impl<'a> PackedDepthwise2d<'a> {
         }
     }
 
-    /// Copies the sign vectors into owned storage, detaching the layer from
-    /// any borrowed artifact buffer.
-    pub fn to_static(&self) -> PackedDepthwise2d<'static> {
-        PackedDepthwise2d {
-            wb_signs: Cow::Owned(self.wb_signs.to_vec()),
-            a_hat: Cow::Owned(self.a_hat.to_vec()),
-            wc_signs: Cow::Owned(self.wc_signs.to_vec()),
-            bias: Cow::Owned(self.bias.to_vec()),
-            spec: self.spec,
-            channels: self.channels,
-            multiplier: self.multiplier,
-        }
-    }
-
     /// Forward: `[n, c, h, w] → [n, c, oh, ow]`, additions only plus the
     /// `c·m` true multiplications by `â` per output position. Samples run
     /// one after another on the calling thread with one reused hidden
@@ -309,9 +295,9 @@ impl<'a> PackedDepthwise2d<'a> {
     /// [`KernelDispatch::window_sum`] call sums all of a hidden channel's
     /// taps in registers over a guard-row copy of its input plane (see
     /// `docs/ARCHITECTURE.md`, "Kernel dispatch"). Any other geometry runs
-    /// a tap loop of dispatched slice adds. Both perform each output
-    /// element's adds in the same tap order on every backend, so results
-    /// are bitwise identical everywhere.
+    /// a scalar tap loop. Both perform each output element's adds in the
+    /// same tap order on every backend, so results are bitwise identical
+    /// everywhere.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let (c, m) = (self.channels, self.multiplier);
         assert_eq!(x.dims()[1], c, "PackedDepthwise channel mismatch");
@@ -343,7 +329,7 @@ impl<'a> PackedDepthwise2d<'a> {
                 let signs = &self.wb_signs[hc * taps_per_channel..(hc + 1) * taps_per_channel];
                 match &mut windows {
                     Some(win) => win.sum(d, signs, &mut hidden),
-                    None => self.tap_loop(d, img, (h, w), signs, &mut hidden),
+                    None => self.tap_loop(img, (h, w), signs, &mut hidden),
                 }
                 // `â` scale folded into the ±1 group combine.
                 let a = self.a_hat[hc];
@@ -356,17 +342,9 @@ impl<'a> PackedDepthwise2d<'a> {
     /// One hidden channel's taps (`signs`, row-major `kh × kw`) over the
     /// `h × w` plane `img` into `hidden`, for the geometries
     /// [`GuardedPlane`] does not cover. At unit horizontal stride each
-    /// tap's in-bounds output run is one contiguous dispatched
-    /// `slice_add`/`slice_sub` of an input row; other strides add one
-    /// element at a time.
-    fn tap_loop(
-        &self,
-        d: &KernelDispatch,
-        img: &[f32],
-        (h, w): (usize, usize),
-        signs: &[i8],
-        hidden: &mut [f32],
-    ) {
+    /// tap's in-bounds output run adds or subtracts one contiguous run of
+    /// an input row; other strides add one element at a time.
+    fn tap_loop(&self, img: &[f32], (h, w): (usize, usize), signs: &[i8], hidden: &mut [f32]) {
         let (oh, ow) = self.spec.out_dims(h, w);
         hidden.fill(0.0);
         for (k, &sign) in signs.iter().enumerate() {
@@ -390,12 +368,12 @@ impl<'a> PackedDepthwise2d<'a> {
                     }
                     let ix0 = ox0 + kj - self.spec.pad_left;
                     let run = ox1 - ox0;
-                    let out = &mut hidden[oy * ow + ox0..oy * ow + ox1];
+                    let out = hidden[oy * ow + ox0..oy * ow + ox1].iter_mut();
                     let src = &img[src_row + ix0..src_row + ix0 + run];
                     if sign > 0 {
-                        d.slice_add(out, src);
+                        out.zip(src).for_each(|(o, &v)| *o += v);
                     } else {
-                        d.slice_sub(out, src);
+                        out.zip(src).for_each(|(o, &v)| *o -= v);
                     }
                 } else {
                     for ox in 0..ow {
@@ -599,6 +577,29 @@ pub enum PackedLayer<'a> {
     GlobalAvgPool,
 }
 
+impl PackedLayer<'_> {
+    /// The layer's f32 forward: the one step every walk over a compiled
+    /// stack takes, [`PackedStStack::forward`] for every layer and the
+    /// quantized engine's calibration and forward for the layers it keeps
+    /// in f32.
+    pub(crate) fn step(&self, mut cur: Tensor) -> Tensor {
+        match self {
+            PackedLayer::Conv(c) => c.forward(&cur),
+            PackedLayer::Depthwise(d) => d.forward(&cur),
+            PackedLayer::Dense(f) => f.forward(&cur),
+            PackedLayer::Affine(a) => {
+                a.forward_in_place(&mut cur);
+                cur
+            }
+            PackedLayer::Relu => {
+                cur.map_in_place(|v| v.max(0.0));
+                cur
+            }
+            PackedLayer::GlobalAvgPool => global_avg_pool(&cur),
+        }
+    }
+}
+
 /// A compiled [`StStack`]: the deployable front-end.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedStStack<'a> {
@@ -639,24 +640,7 @@ impl<'a> PackedStStack<'a> {
 
     /// Batched inference through the whole stack.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for l in &self.layers {
-            cur = match l {
-                PackedLayer::Conv(c) => c.forward(&cur),
-                PackedLayer::Depthwise(d) => d.forward(&cur),
-                PackedLayer::Dense(f) => f.forward(&cur),
-                PackedLayer::Affine(a) => {
-                    a.forward_in_place(&mut cur);
-                    cur
-                }
-                PackedLayer::Relu => {
-                    cur.map_in_place(|v| v.max(0.0));
-                    cur
-                }
-                PackedLayer::GlobalAvgPool => global_avg_pool(&cur),
-            };
-        }
-        cur
+        self.layers.iter().fold(x.clone(), |cur, l| l.step(cur))
     }
 }
 
@@ -695,14 +679,28 @@ impl<'a> PackedBonsai<'a> {
     /// Batched inference: `[n, D] → [n, L]`, identical routing to the
     /// trained tree's evaluation path.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let n = x.dims()[0];
-        let l = self.num_classes;
         let zhat = self.z.forward(x);
+        self.route(x.dims()[0], |_, node| node.forward(&zhat))
+    }
+
+    /// The tree's routing over `n` samples, given each node's product:
+    /// `node(i, dense)` is node `dense`'s `[n, out]` output on the shared
+    /// projection `ẑ`, and `i` its index in [`Self::nodes`]' `θ ‖ W ‖ V`
+    /// order. The packed engine passes f32 products over `ẑ`, the quantized
+    /// engine popcount products over one bit-sliced `ẑ`; the routing
+    /// arithmetic is this one loop for both.
+    pub(crate) fn route(
+        &self,
+        n: usize,
+        node: impl Fn(usize, &PackedDense<'a>) -> Tensor,
+    ) -> Tensor {
+        let l = self.num_classes;
+        let (branches, scores) = (self.theta.len(), self.w.len());
         let num_nodes = self.topo.num_nodes();
         let mut probs = vec![vec![0.0f32; n]; num_nodes];
         probs[0] = vec![1.0; n];
         for (j, theta) in self.theta.iter().enumerate() {
-            let u = theta.forward(&zhat);
+            let u = node(j, theta);
             let (lc, rc) = (self.topo.left(j), self.topo.right(j));
             for s in 0..n {
                 let g = 1.0 / (1.0 + (-self.sharpness * u.data()[s]).exp());
@@ -712,8 +710,8 @@ impl<'a> PackedBonsai<'a> {
         }
         let mut y = Tensor::zeros(&[n, l]);
         for k in 0..num_nodes {
-            let a = self.w[k].forward(&zhat);
-            let t = self.v[k].forward(&zhat).map(|b| (self.sigma * b).tanh());
+            let a = node(branches + k, &self.w[k]);
+            let t = node(branches + scores + k, &self.v[k]).map(|b| (self.sigma * b).tanh());
             let yd = y.data_mut();
             for s in 0..n {
                 let p = probs[k][s];
@@ -730,8 +728,15 @@ impl<'a> PackedBonsai<'a> {
         self.num_classes
     }
 
+    /// Every node dense in `θ ‖ W ‖ V` order: the order of
+    /// [`Self::route`]'s node indices and of
+    /// [`crate::QuantSchedule::node_hidden`].
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = &PackedDense<'a>> {
+        self.theta.iter().chain(&self.w).chain(&self.v)
+    }
+
     fn sublayers(&self) -> impl Iterator<Item = &PackedDense<'a>> {
-        std::iter::once(&self.z).chain(self.theta.iter()).chain(self.w.iter()).chain(self.v.iter())
+        std::iter::once(&self.z).chain(self.nodes())
     }
 }
 

@@ -14,11 +14,12 @@
 //!    input and `â`-scaled hidden activations, plus the tree's shared
 //!    projection `ẑ`. The result is a [`QuantSchedule`] of per-layer
 //!    scales.
-//! 2. **Compilation** ([`QuantizedStHybrid::compile`]) pairs the packed
-//!    engine with a schedule and pre-folds every per-channel f32 factor
-//!    into requantization constants: the hidden dequantization
-//!    `s_in · â[k]`, and the output stage `a_ch · s_h` / `a_ch · bias + b`
-//!    with any following batch-norm affine `(a, b)` folded in.
+//! 2. **Compilation** ([`QuantizedStHybrid::compile`]) keeps the packed
+//!    engine as its base and, per strassenified layer, pre-folds every
+//!    per-channel f32 factor into requantization constants: the hidden
+//!    dequantization `s_in · â[k]`, and the output stage `a_ch · s_h` /
+//!    `a_ch · bias + b` with any following batch-norm affine `(a, b)`
+//!    folded in. The ternary weights are the base's; nothing is copied.
 //! 3. **Inference** quantizes each activation tensor once
 //!    (`q = clamp(round(x/s), −127, 127)`, stored as bit planes) and
 //!    evaluates
@@ -40,8 +41,10 @@
 //!    `[channels × positions]` rows the next stage reads, with no per-position
 //!    loop and no transpose.
 //!
-//!    Depthwise taps, ReLU, pooling and the tree's sigmoid/tanh routing
-//!    stay in f32 — they are a vanishing fraction of the arithmetic.
+//!    Depthwise taps, unfolded affines, ReLU and pooling stay in f32 — they
+//!    are a vanishing fraction of the arithmetic — and run through the
+//!    packed engine's own layer step; the tree's sigmoid/tanh routing is
+//!    the packed tree's routing, fed popcount node products.
 //!
 //! The integer products and the quantizes dispatch through the same
 //! [`thnt_strassen::KernelDispatch`] / `THNT_KERNEL` contract as the f32
@@ -51,13 +54,12 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use thnt_quant::{ActivationProfile, CalibrationMethod, RangeObserver};
-use thnt_strassen::{BitSliced, BitSlicedColumns, KernelDispatch, PackedTernary};
-use thnt_tensor::{global_avg_pool, im2col, Conv2dSpec, Tensor};
+use thnt_quant::{CalibrationMethod, RangeObserver};
+use thnt_strassen::{BitSliced, BitSlicedColumns, KernelDispatch};
+use thnt_tensor::{im2col, Tensor};
 
 use crate::engine::{
-    conv_columns, ChannelAffine, PackedConv2d, PackedDense, PackedDepthwise2d, PackedLayer,
-    PackedStHybrid,
+    conv_columns, ChannelAffine, PackedConv2d, PackedDense, PackedLayer, PackedStHybrid,
 };
 
 /// The two activation scales of one quantized strassenified layer.
@@ -113,33 +115,33 @@ impl QuantSchedule {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Compiled quantized layers.
-// ---------------------------------------------------------------------------
-
-/// A strassenified dense layer with prefolded requantization constants.
+/// The requantization constants [`QuantizedStHybrid::compile`] folds for
+/// one strassenified layer. The layer's weights stay in the packed engine:
+/// the popcount pipelines below take the layer they run as an argument.
 #[derive(Debug, Clone, PartialEq)]
-struct QuantDense {
-    wb: PackedTernary<'static>,
+struct Requant {
+    /// Scale of the layer's int8 input quantization.
+    in_scale: f32,
     /// `s_in · â[k]`: converts the integer hidden accumulator to f32.
     hidden_dequant: Vec<f32>,
+    /// Scale of the hidden requantization.
     hidden_scale: f32,
-    wc: PackedTernary<'static>,
     /// Per-output `a_ch · s_h` (affine-folded output dequantization).
     out_scale: Vec<f32>,
     /// Per-output `a_ch · bias_ch + b_ch`.
     out_shift: Vec<f32>,
-    in_scale: f32,
 }
 
-impl QuantDense {
-    /// Folds `layer` with its scales and an optional following affine.
+impl Requant {
+    /// Folds a layer's `â` and bias with its scales and an optional
+    /// following affine.
     fn fold(
-        layer: &PackedDense,
+        a_hat: &[f32],
+        bias: &[f32],
         scales: LayerScales,
         affine: Option<&ChannelAffine>,
     ) -> Result<Self, String> {
-        let out = layer.bias.len();
+        let out = bias.len();
         if let Some(a) = affine {
             if a.scale.len() != out {
                 return Err(format!(
@@ -153,33 +155,27 @@ impl QuantDense {
             None => (&[], &[]),
         };
         Ok(Self {
-            wb: layer.wb.to_static(),
-            hidden_dequant: layer.a_hat.iter().map(|&ah| scales.in_scale * ah).collect(),
+            in_scale: scales.in_scale,
+            hidden_dequant: a_hat.iter().map(|&ah| scales.in_scale * ah).collect(),
             hidden_scale: scales.hidden_scale,
-            wc: layer.wc.to_static(),
             out_scale: (0..out)
                 .map(|ch| a.get(ch).copied().unwrap_or(1.0) * scales.hidden_scale)
                 .collect(),
             out_shift: (0..out)
                 .map(|ch| {
-                    a.get(ch).copied().unwrap_or(1.0) * layer.bias[ch]
-                        + b.get(ch).copied().unwrap_or(0.0)
+                    a.get(ch).copied().unwrap_or(1.0) * bias[ch] + b.get(ch).copied().unwrap_or(0.0)
                 })
                 .collect(),
-            in_scale: scales.in_scale,
         })
     }
 
-    fn out_dim(&self) -> usize {
-        self.out_scale.len()
-    }
-
-    /// Forward from pre-sliced activations (shared by the tree nodes, which
-    /// all consume the same quantized `ẑ`): `[samples] → [samples, out]`.
-    fn forward_sliced(&self, d: &KernelDispatch, x: &BitSliced) -> Tensor {
-        let (n, r, out) = (x.samples(), self.hidden_dequant.len(), self.out_dim());
+    /// `layer`'s popcount pipeline from pre-sliced activations (shared by
+    /// the tree nodes, which all consume the same quantized `ẑ`):
+    /// `[samples] → [samples, out]`.
+    fn dense_sliced(&self, d: &KernelDispatch, layer: &PackedDense, x: &BitSliced) -> Tensor {
+        let (n, r, out) = (x.samples(), self.hidden_dequant.len(), self.out_scale.len());
         let mut h_int = vec![0i32; n * r];
-        self.wb.bitsliced_matmul_into_with(d, x, &mut h_int);
+        layer.wb.bitsliced_matmul_into_with(d, x, &mut h_int);
         let h_f: Vec<f32> = h_int
             .iter()
             .enumerate()
@@ -187,7 +183,7 @@ impl QuantDense {
             .collect();
         let hq = BitSliced::quantize(&h_f, r, self.hidden_scale);
         let mut y_int = vec![0i32; n * out];
-        self.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
+        layer.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
         let y: Vec<f32> = y_int
             .iter()
             .enumerate()
@@ -196,68 +192,25 @@ impl QuantDense {
         Tensor::from_vec(y, &[n, out])
     }
 
-    /// Batched forward: quantize the rows of `x` at `in_scale`, then the
-    /// popcount pipeline.
-    fn forward(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
-        let q = BitSliced::quantize(x.data(), self.wb.cols(), self.in_scale);
-        self.forward_sliced(d, &q)
-    }
-}
-
-/// A strassenified convolution with prefolded requantization constants,
-/// run channel-major: each sample's column matrix is bit-sliced with the
-/// positions minor, so both products cover every output position at once.
-#[derive(Debug, Clone, PartialEq)]
-struct QuantConv2d {
-    wb: PackedTernary<'static>,
-    hidden_dequant: Vec<f32>,
-    hidden_scale: f32,
-    wc: PackedTernary<'static>,
-    out_scale: Vec<f32>,
-    out_shift: Vec<f32>,
-    in_scale: f32,
-    spec: Conv2dSpec,
-}
-
-impl QuantConv2d {
-    fn fold(
-        layer: &PackedConv2d,
-        scales: LayerScales,
-        affine: Option<&ChannelAffine>,
-    ) -> Result<Self, String> {
-        let d = QuantDense::fold(
-            &PackedDense {
-                wb: layer.wb.clone(),
-                a_hat: layer.a_hat.clone(),
-                wc: layer.wc.clone(),
-                bias: layer.bias.clone(),
-            },
-            scales,
-            affine,
-        )?;
-        Ok(Self {
-            wb: d.wb,
-            hidden_dequant: d.hidden_dequant,
-            hidden_scale: d.hidden_scale,
-            wc: d.wc,
-            out_scale: d.out_scale,
-            out_shift: d.out_shift,
-            in_scale: d.in_scale,
-            spec: layer.spec,
-        })
+    /// `layer`'s batched popcount forward: quantize the rows of `x` at
+    /// `in_scale`, then the pipeline.
+    fn dense(&self, d: &KernelDispatch, layer: &PackedDense, x: &Tensor) -> Tensor {
+        let q = BitSliced::quantize(x.data(), layer.wb.cols(), self.in_scale);
+        self.dense_sliced(d, layer, &q)
     }
 
-    /// Forward: `[n, ic, h, w] → [n, oc, oh, ow]`. Per sample, the
-    /// `[k × positions]` column matrix is quantized at `in_scale`, `W_b`
-    /// popcounts it into the `[r × positions]` hidden map, each hidden row
-    /// is dequantized by its `s_in·â` and the map requantized at `s_h`, and
-    /// `W_c`'s `[oc × positions]` product lands in the output rows through
+    /// `layer`'s popcount convolution, `[n, ic, h, w] → [n, oc, oh, ow]`,
+    /// run channel-major: per sample, the `[k × positions]` column matrix
+    /// is quantized at `in_scale`, `W_b` popcounts it into the
+    /// `[r × positions]` hidden map, each hidden row is dequantized by its
+    /// `s_in·â` and the map requantized at `s_h`, and `W_c`'s
+    /// `[oc × positions]` product lands in the output rows through
     /// `a·y + b`.
-    fn forward(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
+    fn conv(&self, d: &KernelDispatch, layer: &PackedConv2d, x: &Tensor) -> Tensor {
         let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (oh, ow) = self.spec.out_dims(h, w);
+        let (oh, ow) = layer.spec.out_dims(h, w);
         let spatial = oh * ow;
-        let (k, r, oc) = (self.wb.cols(), self.hidden_dequant.len(), self.out_scale.len());
+        let (k, r, oc) = (layer.wb.cols(), self.hidden_dequant.len(), self.out_scale.len());
         let mut y = Tensor::zeros(&[n, oc, oh, ow]);
         if n == 0 || oc * spatial == 0 {
             return y;
@@ -271,9 +224,9 @@ impl QuantConv2d {
         let plane = ic * h * w;
         for s in 0..n {
             let sample = &x.data()[s * plane..(s + 1) * plane];
-            let m = conv_columns(&self.spec, sample, (ic, h, w), &mut cols);
+            let m = conv_columns(&layer.spec, sample, (ic, h, w), &mut cols);
             xq.quantize_into_with(d, m, self.in_scale);
-            self.wb.bitsliced_matmul_rhs_into_with(d, &xq, &mut h_int);
+            layer.wb.bitsliced_matmul_rhs_into_with(d, &xq, &mut h_int);
             let rows = h_f.chunks_exact_mut(spatial).zip(h_int.chunks_exact(spatial));
             for ((hf, hi), &dq) in rows.zip(&self.hidden_dequant) {
                 for (f, &i) in hf.iter_mut().zip(hi) {
@@ -281,7 +234,7 @@ impl QuantConv2d {
                 }
             }
             hq.quantize_into_with(d, &h_f, self.hidden_scale);
-            self.wc.bitsliced_matmul_rhs_into_with(d, &hq, &mut y_int);
+            layer.wc.bitsliced_matmul_rhs_into_with(d, &hq, &mut y_int);
             let dst = &mut y.data_mut()[s * oc * spatial..(s + 1) * oc * spatial];
             let rows = dst.chunks_exact_mut(spatial).zip(y_int.chunks_exact(spatial));
             for ((o, yi), (&a, &b)) in rows.zip(self.out_scale.iter().zip(&self.out_shift)) {
@@ -294,62 +247,14 @@ impl QuantConv2d {
     }
 }
 
-/// One layer of the quantized front-end walk.
-#[derive(Debug, Clone, PartialEq)]
-enum QuantFrontLayer {
-    Conv(QuantConv2d),
-    Dense(QuantDense),
-    /// Depthwise stays f32: its taps are additions over a tiny kernel.
-    Depthwise(PackedDepthwise2d<'static>),
-    Affine(ChannelAffine),
-    Relu,
-    GlobalAvgPool,
-}
-
-/// The quantized Bonsai head: the projection and every node dense run the
-/// popcount pipeline; all nodes share one bit-sliced `ẑ`.
-#[derive(Debug, Clone, PartialEq)]
-struct QuantBonsai {
-    z: QuantDense,
-    zhat_scale: f32,
-    theta: Vec<QuantDense>,
-    w: Vec<QuantDense>,
-    v: Vec<QuantDense>,
-}
-
-impl QuantBonsai {
-    fn forward(&self, d: &KernelDispatch, base: &PackedStHybrid, x: &Tensor) -> Tensor {
-        let tree = base.tree();
-        let n = x.dims()[0];
-        let l = tree.num_classes();
-        let zhat = self.z.forward(d, x);
-        let zs = BitSliced::quantize(zhat.data(), self.z.out_dim(), self.zhat_scale);
-        let topo = &tree.topo;
-        let num_nodes = topo.num_nodes();
-        let mut probs = vec![vec![0.0f32; n]; num_nodes];
-        probs[0] = vec![1.0; n];
-        for (j, theta) in self.theta.iter().enumerate() {
-            let u = theta.forward_sliced(d, &zs);
-            let (lc, rc) = (topo.left(j), topo.right(j));
-            for s in 0..n {
-                let g = 1.0 / (1.0 + (-tree.sharpness * u.data()[s]).exp());
-                probs[lc][s] = probs[j][s] * (1.0 - g);
-                probs[rc][s] = probs[j][s] * g;
-            }
+/// The batch-norm affine a quantized conv or dense at `layers[i]` folds
+/// into its output stage: the layer right after it, if that is an affine.
+fn folded_affine<'l>(layers: &'l [PackedLayer<'_>], i: usize) -> Option<&'l ChannelAffine> {
+    match (layers.get(i), layers.get(i + 1)) {
+        (Some(PackedLayer::Conv(_) | PackedLayer::Dense(_)), Some(PackedLayer::Affine(a))) => {
+            Some(a)
         }
-        let mut y = Tensor::zeros(&[n, l]);
-        for k in 0..num_nodes {
-            let a = self.w[k].forward_sliced(d, &zs);
-            let t = self.v[k].forward_sliced(d, &zs).map(|b| (tree.sigma * b).tanh());
-            let yd = y.data_mut();
-            for s in 0..n {
-                let p = probs[k][s];
-                for c in 0..l {
-                    yd[s * l + c] += p * a.data()[s * l + c] * t.data()[s * l + c];
-                }
-            }
-        }
-        y
+        _ => None,
     }
 }
 
@@ -386,20 +291,26 @@ impl QuantBonsai {
 pub struct QuantizedStHybrid {
     base: PackedStHybrid<'static>,
     schedule: QuantSchedule,
-    front: Vec<QuantFrontLayer>,
-    tree: QuantBonsai,
+    /// One entry per front layer of `base`: the folded constants of each
+    /// conv and dense, `None` for the layers that run in f32.
+    front: Vec<Option<Requant>>,
+    /// The tree projection's constants.
+    z: Requant,
+    /// Every node dense's constants, in `θ ‖ W ‖ V` order.
+    nodes: Vec<Requant>,
 }
 
-/// Observes each sample of `t` as one range observation (sample order is
-/// the batch order, so moving-max calibration sees a deterministic stream).
-fn observe_samples(obs: &mut RangeObserver, t: &Tensor) {
-    let n = t.dims()[0];
-    if n == 0 {
-        return;
+/// The range `method` calibrates over the samples of `t`, each sample one
+/// observation (sample order is the batch order, so moving-max calibration
+/// sees a deterministic stream).
+fn sample_scale(t: &Tensor, method: CalibrationMethod) -> f32 {
+    let mut obs = RangeObserver::new(method);
+    if let Some(sample) = t.numel().checked_div(t.dims()[0]) {
+        for chunk in t.data().chunks_exact(sample) {
+            obs.observe(chunk);
+        }
     }
-    for chunk in t.data().chunks_exact(t.numel() / n) {
-        obs.observe(chunk);
-    }
+    obs.scale()
 }
 
 /// `â ⊙ (W_b · x)` per sample — the f32 hidden activations whose range the
@@ -421,8 +332,13 @@ impl QuantizedStHybrid {
     /// Runs the f32 engine over `batch` (`[n, 1, 49, 10]`) and calibrates
     /// an activation-scale schedule with `method` at every quantize point.
     ///
-    /// Calibration is deterministic: the same engine, batch and method
-    /// always produce bit-identical scales.
+    /// Calibration is deterministic per kernel backend: the same engine,
+    /// batch and method always produce bit-identical scales on one
+    /// `THNT_KERNEL` backend. Across backends the scales can differ in the
+    /// last bits, because the f32 packed matvecs it observes reassociate
+    /// their sums differently on `scalar` and the SIMD backends. A saved
+    /// artifact stores its scales, so loading one does not depend on the
+    /// host.
     ///
     /// # Panics
     ///
@@ -439,80 +355,44 @@ impl QuantizedStHybrid {
         for layer in engine.front().layers() {
             match layer {
                 PackedLayer::Conv(c) => {
-                    let mut in_obs = RangeObserver::new(method);
-                    observe_samples(&mut in_obs, &cur);
                     let mut hid_obs = RangeObserver::new(method);
                     let (n, h, w) = (cur.dims()[0], cur.dims()[2], cur.dims()[3]);
                     let (oh, ow) = c.spec.out_dims(h, w);
-                    let r = c.a_hat.len();
-                    let mut hidden = Tensor::zeros(&[r, oh * ow]);
+                    let mut hidden = Tensor::zeros(&[c.a_hat.len(), oh * ow]);
                     for s in 0..n {
                         let cols = im2col(&cur.slice_batch(s), &c.spec);
                         c.wb.matmul_rhs_into(&cols, hidden.data_mut());
-                        let hd = hidden.data_mut();
-                        for (k, &a) in c.a_hat.iter().enumerate() {
-                            for v in &mut hd[k * oh * ow..(k + 1) * oh * ow] {
-                                *v *= a;
-                            }
+                        for (row, &a) in hidden.data_mut().chunks_mut(oh * ow).zip(c.a_hat.iter()) {
+                            row.iter_mut().for_each(|v| *v *= a);
                         }
                         hid_obs.observe(hidden.data());
                     }
                     front.push(LayerScales {
-                        in_scale: in_obs.scale(),
+                        in_scale: sample_scale(&cur, method),
                         hidden_scale: hid_obs.scale(),
                     });
-                    cur = c.forward(&cur);
                 }
-                PackedLayer::Dense(f) => {
-                    let mut in_obs = RangeObserver::new(method);
-                    observe_samples(&mut in_obs, &cur);
-                    let pd = PackedDense {
-                        wb: f.wb.clone(),
-                        a_hat: f.a_hat.clone(),
-                        wc: f.wc.clone(),
-                        bias: f.bias.clone(),
-                    };
-                    let h = scaled_hidden(&pd, &cur);
-                    let mut hid_obs = RangeObserver::new(method);
-                    observe_samples(&mut hid_obs, &h);
-                    front.push(LayerScales {
-                        in_scale: in_obs.scale(),
-                        hidden_scale: hid_obs.scale(),
-                    });
-                    cur = f.forward(&cur);
-                }
-                PackedLayer::Depthwise(dw) => cur = dw.forward(&cur),
-                PackedLayer::Affine(a) => a.forward_in_place(&mut cur),
-                PackedLayer::Relu => cur.map_in_place(|v| v.max(0.0)),
-                PackedLayer::GlobalAvgPool => cur = global_avg_pool(&cur),
+                PackedLayer::Dense(f) => front.push(LayerScales {
+                    in_scale: sample_scale(&cur, method),
+                    hidden_scale: sample_scale(&scaled_hidden(f, &cur), method),
+                }),
+                _ => {}
             }
+            cur = layer.step(cur);
         }
         let tree = engine.tree();
-        let mut z_in = RangeObserver::new(method);
-        observe_samples(&mut z_in, &cur);
-        let zh = scaled_hidden(&tree.z, &cur);
-        let mut z_hid = RangeObserver::new(method);
-        observe_samples(&mut z_hid, &zh);
         let zhat = tree.z.forward(&cur);
-        let mut zhat_obs = RangeObserver::new(method);
-        observe_samples(&mut zhat_obs, &zhat);
-        let node_hidden = tree
-            .theta
-            .iter()
-            .chain(tree.w.iter())
-            .chain(tree.v.iter())
-            .map(|node| {
-                let h = scaled_hidden(node, &zhat);
-                let mut obs = RangeObserver::new(method);
-                observe_samples(&mut obs, &h);
-                obs.scale()
-            })
-            .collect();
         QuantSchedule {
             front,
-            z: LayerScales { in_scale: z_in.scale(), hidden_scale: z_hid.scale() },
-            zhat_scale: zhat_obs.scale(),
-            node_hidden,
+            z: LayerScales {
+                in_scale: sample_scale(&cur, method),
+                hidden_scale: sample_scale(&scaled_hidden(&tree.z, &cur), method),
+            },
+            zhat_scale: sample_scale(&zhat, method),
+            node_hidden: tree
+                .nodes()
+                .map(|node| sample_scale(&scaled_hidden(node, &zhat), method))
+                .collect(),
         }
     }
 
@@ -529,66 +409,37 @@ impl QuantizedStHybrid {
         let layers = engine.front().layers();
         let mut scales = schedule.front.iter();
         let mut front = Vec::with_capacity(layers.len());
-        let mut i = 0;
-        while i < layers.len() {
-            let folded_affine = match layers.get(i + 1) {
-                Some(PackedLayer::Affine(a))
-                    if matches!(layers[i], PackedLayer::Conv(_) | PackedLayer::Dense(_)) =>
-                {
-                    Some(a)
+        for (i, layer) in layers.iter().enumerate() {
+            front.push(match layer {
+                PackedLayer::Conv(PackedConv2d { a_hat, bias, .. })
+                | PackedLayer::Dense(PackedDense { a_hat, bias, .. }) => {
+                    let ls = *scales.next().ok_or("schedule has too few front layer scales")?;
+                    Some(Requant::fold(a_hat, bias, ls, folded_affine(layers, i))?)
                 }
                 _ => None,
-            };
-            match &layers[i] {
-                PackedLayer::Conv(c) => {
-                    let ls = *scales.next().ok_or("schedule has too few front layer scales")?;
-                    front.push(QuantFrontLayer::Conv(QuantConv2d::fold(c, ls, folded_affine)?));
-                }
-                PackedLayer::Dense(f) => {
-                    let ls = *scales.next().ok_or("schedule has too few front layer scales")?;
-                    front.push(QuantFrontLayer::Dense(QuantDense::fold(f, ls, folded_affine)?));
-                }
-                PackedLayer::Depthwise(dw) => {
-                    front.push(QuantFrontLayer::Depthwise(dw.to_static()))
-                }
-                PackedLayer::Affine(a) => front.push(QuantFrontLayer::Affine(a.clone())),
-                PackedLayer::Relu => front.push(QuantFrontLayer::Relu),
-                PackedLayer::GlobalAvgPool => front.push(QuantFrontLayer::GlobalAvgPool),
-            }
-            i += 1 + usize::from(folded_affine.is_some());
+            });
         }
         if scales.next().is_some() {
             return Err("schedule has more front scales than quantized layers".into());
         }
         let tree = engine.tree();
-        let expected = tree.theta.len() + tree.w.len() + tree.v.len();
+        let expected = tree.nodes().count();
         if schedule.node_hidden.len() != expected {
             return Err(format!(
                 "schedule has {} node scales, tree has {expected} node denses",
                 schedule.node_hidden.len()
             ));
         }
-        let node = |d: &PackedDense, s_h: f32| {
-            QuantDense::fold(
-                d,
-                LayerScales { in_scale: schedule.zhat_scale, hidden_scale: s_h },
-                None,
-            )
-        };
-        let mut node_scales = schedule.node_hidden.iter().copied();
-        let mut take = |ds: &[PackedDense]| -> Result<Vec<QuantDense>, String> {
-            ds.iter()
-                .map(|d| node(d, node_scales.next().ok_or("schedule has too few node scales")?))
-                .collect()
-        };
-        let qtree = QuantBonsai {
-            z: QuantDense::fold(&tree.z, schedule.z, None)?,
-            zhat_scale: schedule.zhat_scale,
-            theta: take(&tree.theta)?,
-            w: take(&tree.w)?,
-            v: take(&tree.v)?,
-        };
-        Ok(Self { base: engine.to_static(), schedule, front, tree: qtree })
+        let nodes = tree
+            .nodes()
+            .zip(&schedule.node_hidden)
+            .map(|(node, &hidden_scale)| {
+                let ls = LayerScales { in_scale: schedule.zhat_scale, hidden_scale };
+                Requant::fold(&node.a_hat, &node.bias, ls, None)
+            })
+            .collect::<Result<_, _>>()?;
+        let z = Requant::fold(&tree.z.a_hat, &tree.z.bias, schedule.z, None)?;
+        Ok(Self { base: engine.to_static(), schedule, front, z, nodes })
     }
 
     /// Calibrates on `batch` and compiles in one step.
@@ -608,25 +459,29 @@ impl QuantizedStHybrid {
 
     /// Batched quantized inference: `[n, 1, 49, 10] → [n, L]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let d = KernelDispatch::get();
+        self.forward_with(KernelDispatch::get(), x)
+    }
+
+    /// [`Self::forward`] with every quantize and popcount product on the
+    /// backend `d`. The layers kept in f32 run on the process dispatch,
+    /// whose depthwise window sums are bitwise the same on every backend.
+    pub(crate) fn forward_with(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
+        let layers = self.base.front().layers();
         let mut cur = x.clone();
-        for layer in &self.front {
-            cur = match layer {
-                QuantFrontLayer::Conv(c) => c.forward(d, &cur),
-                QuantFrontLayer::Dense(f) => f.forward(d, &cur),
-                QuantFrontLayer::Depthwise(dw) => dw.forward(&cur),
-                QuantFrontLayer::Affine(a) => {
-                    a.forward_in_place(&mut cur);
-                    cur
-                }
-                QuantFrontLayer::Relu => {
-                    cur.map_in_place(|v| v.max(0.0));
-                    cur
-                }
-                QuantFrontLayer::GlobalAvgPool => global_avg_pool(&cur),
+        let mut i = 0;
+        while let (Some(layer), Some(requant)) = (layers.get(i), self.front.get(i)) {
+            cur = match (layer, requant) {
+                (PackedLayer::Conv(c), Some(q)) => q.conv(d, c, &cur),
+                (PackedLayer::Dense(f), Some(q)) => q.dense(d, f, &cur),
+                _ => layer.step(cur),
             };
+            // A folded affine already ran in the layer before it.
+            i += 1 + usize::from(folded_affine(layers, i).is_some());
         }
-        self.tree.forward(d, &self.base, &cur)
+        let tree = self.base.tree();
+        let zhat = self.z.dense(d, &tree.z, &cur);
+        let zs = BitSliced::quantize(zhat.data(), tree.z.out_dim(), self.schedule.zhat_scale);
+        tree.route(cur.dims()[0], |i, node| self.nodes[i].dense_sliced(d, node, &zs))
     }
 
     /// The underlying f32 packed engine.
@@ -642,58 +497,6 @@ impl QuantizedStHybrid {
     /// Number of classification targets `L`.
     pub fn num_classes(&self) -> usize {
         self.base.num_classes()
-    }
-
-    /// Peak activation storage of the quantized engine for the paper's
-    /// `49 × 10` input, as bit-sliced [`ActivationProfile`]s — one per
-    /// quantize point, with plane storage counted in words, not f32 lanes.
-    pub fn activation_profiles(&self) -> Vec<ActivationProfile> {
-        let mut profiles = Vec::new();
-        let (mut h, mut w) = (49usize, 10usize);
-        for (idx, layer) in self.front.iter().enumerate() {
-            match layer {
-                QuantFrontLayer::Conv(c) => {
-                    let (oh, ow) = c.spec.out_dims(h, w);
-                    let spatial = oh * ow;
-                    profiles.push(ActivationProfile::bit_sliced(
-                        format!("front[{idx}].patches"),
-                        c.wb.cols() * spatial,
-                        8,
-                    ));
-                    profiles.push(ActivationProfile::bit_sliced(
-                        format!("front[{idx}].hidden"),
-                        c.hidden_dequant.len() * spatial,
-                        8,
-                    ));
-                    (h, w) = (oh, ow);
-                }
-                QuantFrontLayer::Dense(f) => {
-                    profiles.push(ActivationProfile::bit_sliced(
-                        format!("front[{idx}].in"),
-                        f.wb.cols(),
-                        8,
-                    ));
-                    profiles.push(ActivationProfile::bit_sliced(
-                        format!("front[{idx}].hidden"),
-                        f.hidden_dequant.len(),
-                        8,
-                    ));
-                }
-                QuantFrontLayer::Depthwise(dw) => {
-                    let (oh, ow) = dw.spec.out_dims(h, w);
-                    (h, w) = (oh, ow);
-                }
-                _ => {}
-            }
-        }
-        profiles.push(ActivationProfile::bit_sliced("tree.z.in", self.tree.z.wb.cols(), 8));
-        profiles.push(ActivationProfile::bit_sliced(
-            "tree.z.hidden",
-            self.tree.z.hidden_dequant.len(),
-            8,
-        ));
-        profiles.push(ActivationProfile::bit_sliced("tree.zhat", self.tree.z.out_dim(), 8));
-        profiles
     }
 
     /// Model bytes: the packed ternary weights plus the schedule.
@@ -768,7 +571,8 @@ mod tests {
     use crate::st_hybrid::StHybridNet;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use thnt_strassen::{Kernel, Strassenified};
+    use thnt_strassen::{Kernel, PackedTernary, Strassenified};
+    use thnt_tensor::Conv2dSpec;
 
     fn frozen_engine(seed: u64) -> PackedStHybrid<'static> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -802,15 +606,38 @@ mod tests {
         BitSliced::quantize(&t, len, scale)
     }
 
+    /// One quantized conv as the oracle proptest builds it: the packed
+    /// layer and the constants `compile` folds for it.
+    struct QuantConv2d<'a> {
+        layer: PackedConv2d<'a>,
+        q: Requant,
+    }
+
+    impl<'a> QuantConv2d<'a> {
+        fn fold(
+            layer: &PackedConv2d<'a>,
+            scales: LayerScales,
+            affine: Option<&ChannelAffine>,
+        ) -> Result<Self, String> {
+            let q = Requant::fold(&layer.a_hat, &layer.bias, scales, affine)?;
+            Ok(Self { layer: layer.clone(), q })
+        }
+
+        fn forward(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
+            self.q.conv(d, &self.layer, x)
+        }
+    }
+
     /// The per-position conv body the channel-major forward replaced, kept
     /// as its oracle: each output position's patch is one bit-sliced
     /// sample, each product one matvec per position, and the
     /// `[position, channel]` result is transposed into the output rows.
     fn per_position_forward(c: &QuantConv2d, d: &KernelDispatch, x: &Tensor) -> Tensor {
+        let (layer, q) = (&c.layer, &c.q);
         let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (oh, ow) = c.spec.out_dims(h, w);
+        let (oh, ow) = layer.spec.out_dims(h, w);
         let spatial = oh * ow;
-        let (k, r, oc) = (c.wb.cols(), c.hidden_dequant.len(), c.out_scale.len());
+        let (k, r, oc) = (layer.wb.cols(), q.hidden_dequant.len(), q.out_scale.len());
         let mut y = Tensor::zeros(&[n, oc, oh, ow]);
         let mut h_int = vec![0i32; spatial * r];
         let mut y_int = vec![0i32; spatial * oc];
@@ -818,21 +645,21 @@ mod tests {
         let plane = ic * h * w;
         for s in 0..n {
             let sample = &x.data()[s * plane..(s + 1) * plane];
-            let m = conv_columns(&c.spec, sample, (ic, h, w), &mut cols);
-            let patches = quantize_columns(m, k, spatial, c.in_scale);
-            c.wb.bitsliced_matmul_into_with(d, &patches, &mut h_int);
+            let m = conv_columns(&layer.spec, sample, (ic, h, w), &mut cols);
+            let patches = quantize_columns(m, k, spatial, q.in_scale);
+            layer.wb.bitsliced_matmul_into_with(d, &patches, &mut h_int);
             let h_f: Vec<f32> = h_int
                 .iter()
                 .enumerate()
-                .map(|(i, &hi)| hi as f32 * c.hidden_dequant[i % r])
+                .map(|(i, &hi)| hi as f32 * q.hidden_dequant[i % r])
                 .collect();
-            let hq = BitSliced::quantize(&h_f, r, c.hidden_scale);
-            c.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
+            let hq = BitSliced::quantize(&h_f, r, q.hidden_scale);
+            layer.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
             let dst = &mut y.data_mut()[s * oc * spatial..(s + 1) * oc * spatial];
             for pos in 0..spatial {
                 for ch in 0..oc {
                     dst[ch * spatial + pos] =
-                        c.out_scale[ch] * y_int[pos * oc + ch] as f32 + c.out_shift[ch];
+                        q.out_scale[ch] * y_int[pos * oc + ch] as f32 + q.out_shift[ch];
                 }
             }
         }
@@ -981,6 +808,33 @@ mod tests {
     }
 
     #[test]
+    fn folded_affines_run_exactly_once() {
+        // A fresh net's batch norms fold to near-identity affines, which
+        // hide an affine the walk drops or runs twice: give each a real
+        // scale and shift, and the quantized engine must still track f32.
+        let mut engine = frozen_engine(4);
+        let mut rng = SmallRng::seed_from_u64(44);
+        for layer in &mut engine.front.layers {
+            if let PackedLayer::Affine(a) = layer {
+                a.scale.iter_mut().for_each(|s| *s = rng.gen_range(0.5f32..2.0));
+                a.shift.iter_mut().for_each(|b| *b = rng.gen_range(-0.5f32..0.5));
+            }
+        }
+        let batch = random_batch(6, 45);
+        let q = QuantizedStHybrid::calibrate_and_compile(
+            &engine,
+            &batch,
+            CalibrationMethod::percentile(100.0),
+        )
+        .unwrap();
+        let (f, g) = (engine.forward(&batch), q.forward(&batch));
+        let tol = 0.02 + 0.1 * f.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        for (i, (&a, &b)) in f.data().iter().zip(g.data()).enumerate() {
+            assert!((a - b).abs() <= tol, "logit {i}: f32 {a} vs quantized {b} (tol {tol})");
+        }
+    }
+
+    #[test]
     fn compile_rejects_mismatched_schedules() {
         let engine = frozen_engine(0);
         let batch = random_batch(2, 0);
@@ -998,37 +852,30 @@ mod tests {
 
     #[test]
     fn forward_is_identical_across_available_kernels() {
-        // The integer pipeline is bitwise identical per backend; the f32
-        // stages are shared code. Forcing the dispatch through the env
-        // override is process-global, so instead compare the conv layer's
-        // integer core across kernels directly.
-        let engine = frozen_engine(1);
-        let batch = random_batch(2, 9);
-        let q =
-            QuantizedStHybrid::calibrate_and_compile(&engine, &batch, CalibrationMethod::default())
-                .unwrap();
-        let reference = q.forward(&batch);
-        let again = q.forward(&batch);
-        assert_eq!(
-            reference.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            again.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
-    }
-
-    #[test]
-    fn profiles_report_bit_sliced_layout() {
-        let engine = frozen_engine(0);
-        let batch = random_batch(2, 2);
-        let q =
-            QuantizedStHybrid::calibrate_and_compile(&engine, &batch, CalibrationMethod::default())
-                .unwrap();
-        let profiles = q.activation_profiles();
-        assert!(!profiles.is_empty());
-        for p in &profiles {
-            assert_eq!(p.layout, thnt_quant::ActivationLayout::BitSliced, "{}", p.name);
-            assert_eq!(p.bits, 8);
-            // Bit-sliced storage is 8 word-padded planes, never numel f32s.
-            assert!(p.bytes() <= (p.numel as u64).div_ceil(64) * 64 * 8 / 8 + 64);
+        // The popcount products and quantizes are exact on every backend
+        // and the f32 stages are element-wise, so a paper-geometry engine
+        // must give every backend's logits bit for bit, alone and in a
+        // batch.
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut net = StHybridNet::new(HybridConfig::paper(), &mut rng);
+        net.activate_quantization();
+        net.freeze_ternary();
+        let engine = PackedStHybrid::compile(&net);
+        let q = QuantizedStHybrid::calibrate_and_compile(
+            &engine,
+            &random_batch(4, 9),
+            CalibrationMethod::default(),
+        )
+        .unwrap();
+        let scalar = KernelDispatch::new(Kernel::Scalar).unwrap();
+        for n in [1, 5] {
+            let x = random_batch(n, 10 + n as u64);
+            let want = bits(&q.forward_with(&scalar, &x));
+            for k in Kernel::available() {
+                let got = q.forward_with(&KernelDispatch::new(k).unwrap(), &x);
+                assert_eq!(bits(&got), want, "kernel {k} at batch {n}");
+            }
+            assert_eq!(bits(&q.forward(&x)), want, "process dispatch at batch {n}");
         }
     }
 

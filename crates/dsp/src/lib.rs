@@ -45,5 +45,5 @@ pub use mel::{hz_to_mel, mel_filterbank, mel_to_hz, MelBank};
 pub use mfcc::{reference_mfcc, Mfcc, MfccConfig, ReferenceMfcc};
 pub use plan::{MfccPlan, MfccScratch};
 pub use rfft::RealFft;
-pub use simd::{DspDispatch, DspKernel};
+pub use simd::DspDispatch;
 pub use window::{frame_signal, hann_window};

@@ -24,10 +24,11 @@
 //! The split layout puts eight real parts (or eight imaginary parts) of
 //! neighbouring butterflies in one 256-bit register, so the transform
 //! routes through [`DspDispatch`] like the mel dot products. The `scalar`
-//! and `neon` backends run the portable loops below. The `avx2` backend
-//! runs the first three stages inside each 8-lane block with shuffles and
-//! sign flips, every later stage eight butterflies per instruction, and the
-//! unpack eight bins at a time; sizes below N = 16 take the portable loops.
+//! and `neon` backends run the portable loops below. The `avx2` and
+//! `avx512` backends run the first three stages inside each 8-lane block
+//! with shuffles and sign flips, every later stage eight butterflies per
+//! instruction, and the unpack eight bins at a time; sizes below N = 16
+//! take the portable loops.
 //!
 //! **Every backend computes the same bits.** Each butterfly keeps the
 //! operands, twiddle values and operation order of the array-of-`Complex`
@@ -41,9 +42,11 @@
 
 use std::array::from_fn;
 
+#[cfg(target_arch = "x86_64")]
+use crate::simd::avx2;
 use crate::simd::DspDispatch;
 #[cfg(target_arch = "x86_64")]
-use crate::simd::{avx2, DspKernel};
+use thnt_tensor::Kernel;
 
 /// A precomputed real-input FFT of one fixed power-of-two size.
 ///
@@ -179,13 +182,14 @@ impl RealFft {
         // The first bin the portable unpack loop below still owes.
         let first_bin = match dispatch.kernel() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `DspDispatch` construction verified AVX2 support.
+            // SAFETY: `DspDispatch` construction verified AVX2 support
+            // (Avx512 support implies it).
             // `re` and `im` are `half` floats each (`scratch.len() == n` is
             // asserted above), `half` is a power of two ≥ 8, the stage
             // tables hold `half − 1` and the unpack tables `half/2 + 1`
             // entries (sized in `new`), and `out` is `half + 1` long
             // (asserted above): the preconditions both kernels document.
-            DspKernel::Avx2 if half >= 8 => unsafe {
+            Kernel::Avx2 | Kernel::Avx512 if half >= 8 => unsafe {
                 avx2::fft_stages(re, im, tw_re, tw_im);
                 avx2::fft_unpack(re, im, post_re, post_im, inv_n, out)
             },
@@ -286,8 +290,8 @@ fn lanes(s: &[f32], k: usize) -> [f32; 4] {
 mod tests {
     use super::*;
     use crate::fft::{power_spectrum, Complex};
-    use crate::simd::DspKernel;
     use proptest::prelude::*;
+    use thnt_tensor::Kernel;
 
     /// The array-of-`Complex` transform [`RealFft`] replaced, kept verbatim
     /// as the bitwise oracle: its own f64-computed tables, its butterflies
@@ -439,7 +443,7 @@ mod tests {
     fn assert_bitwise(n: usize, x: &[f32]) {
         let (want_power, want_z) = ComplexFft::new(n).power(x);
         let plan = RealFft::new(n);
-        for kernel in DspKernel::available() {
+        for kernel in Kernel::available() {
             let dispatch = DspDispatch::new(kernel).unwrap();
             let mut scratch = vec![f32::NAN; plan.scratch_len()];
             let mut out = vec![f32::NAN; plan.num_bins()];

@@ -8,10 +8,12 @@
 //! implementations behind the same dispatch discipline as
 //! `thnt_strassen::packed::kernel`:
 //!
-//! * the backend is resolved **once** per process by [`DspDispatch::get`],
-//! * the `THNT_KERNEL` environment variable (`scalar` | `avx2` | `neon`)
-//!   forces a backend — the *same* names and values the packed inference
-//!   kernels accept, so one override pins the whole serving path,
+//! * the backend is the same [`Kernel`] the packed inference kernels route
+//!   on, resolved **once** per process by `thnt-tensor`
+//!   ([`Kernel::active`]), so one `THNT_KERNEL` override (`scalar` |
+//!   `avx2` | `avx512` | `neon`) pins the whole serving path,
+//! * `avx512` runs the AVX2 code here: the MFCC loops have no popcount,
+//!   the one family AVX-512 adds,
 //! * an unknown or unsupported value aborts loudly instead of silently
 //!   falling back (a benchmark reporting a silently-degraded backend would
 //!   report fiction).
@@ -34,6 +36,8 @@
 
 use std::sync::OnceLock;
 
+use thnt_tensor::Kernel;
+
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
 
@@ -44,102 +48,26 @@ mod neon;
 /// and by the legacy reference pipeline.
 pub const LOG_EPS: f32 = 1e-6;
 
-/// A DSP compute-backend identity. Mirrors
-/// `thnt_strassen::packed::kernel::Kernel`: same names, same `THNT_KERNEL`
-/// values, same loud-failure contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DspKernel {
-    /// Portable reference: left-to-right sums, `f32::ln`, portable FFT
-    /// loops (always available).
-    Scalar,
-    /// 8-lane AVX2 FFT, dot products and polynomial log (x86_64 with AVX2).
-    Avx2,
-    /// 4-lane NEON dot products and polynomial log, portable FFT loops
-    /// (aarch64).
-    Neon,
-}
-
-impl DspKernel {
-    /// The backend's stable lowercase name — the value `THNT_KERNEL`
-    /// accepts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DspKernel::Scalar => "scalar",
-            DspKernel::Avx2 => "avx2",
-            DspKernel::Neon => "neon",
-        }
-    }
-
-    /// Parses a `THNT_KERNEL` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message for anything other than `scalar`,
-    /// `avx2` or `neon`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(DspKernel::Scalar),
-            "avx2" => Ok(DspKernel::Avx2),
-            "neon" => Ok(DspKernel::Neon),
-            other => Err(format!(
-                "unknown THNT_KERNEL value {other:?}: expected \"scalar\", \"avx2\" or \"neon\""
-            )),
-        }
-    }
-
-    /// Whether this backend can run on the current host.
-    pub fn is_supported(&self) -> bool {
-        match self {
-            DspKernel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            DspKernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "aarch64")]
-            DspKernel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            #[allow(unreachable_patterns)]
-            _ => false,
-        }
-    }
-
-    /// Every backend the current host supports, widest first
-    /// ([`DspKernel::Scalar`] is always present and always last).
-    pub fn available() -> Vec<DspKernel> {
-        [DspKernel::Avx2, DspKernel::Neon, DspKernel::Scalar]
-            .into_iter()
-            .filter(DspKernel::is_supported)
-            .collect()
-    }
-
-    /// The widest backend the current host supports.
-    pub fn detect() -> DspKernel {
-        DspKernel::available()[0]
-    }
-}
-
-impl std::fmt::Display for DspKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A resolved DSP backend handle — the front-end analogue of
 /// `thnt_strassen::packed::kernel::KernelDispatch`.
 ///
 /// # Examples
 ///
 /// ```
-/// use thnt_dsp::simd::{DspDispatch, DspKernel};
+/// use thnt_dsp::simd::DspDispatch;
+/// use thnt_tensor::Kernel;
 ///
 /// // The process default: THNT_KERNEL override or runtime detection.
 /// let active = DspDispatch::get();
 /// assert!(active.kernel().is_supported());
 ///
 /// // An explicit handle for a specific backend.
-/// let scalar = DspDispatch::new(DspKernel::Scalar).unwrap();
+/// let scalar = DspDispatch::new(Kernel::Scalar).unwrap();
 /// assert_eq!(scalar.dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DspDispatch {
-    kernel: DspKernel,
+    kernel: Kernel,
 }
 
 static ACTIVE: OnceLock<DspDispatch> = OnceLock::new();
@@ -151,45 +79,33 @@ impl DspDispatch {
     ///
     /// Returns a descriptive message if the backend is not supported on the
     /// current host.
-    pub fn new(kernel: DspKernel) -> Result<Self, String> {
-        if kernel.is_supported() {
-            Ok(Self { kernel })
-        } else {
-            Err(format!("kernel {:?} is not supported on this host", kernel.name()))
-        }
+    pub fn new(kernel: Kernel) -> Result<Self, String> {
+        kernel.supported().map(|kernel| Self { kernel })
     }
 
-    /// The process-wide dispatch handle, resolved once on first use:
-    /// `THNT_KERNEL` if set, otherwise the widest backend runtime detection
-    /// finds.
+    /// The process-wide dispatch handle on [`Kernel::active`]: `THNT_KERNEL`
+    /// if set, otherwise the widest backend runtime detection finds.
     ///
     /// # Panics
     ///
     /// Panics if `THNT_KERNEL` names an unknown or unsupported backend.
     pub fn get() -> &'static DspDispatch {
-        ACTIVE.get_or_init(|| match Self::resolve(std::env::var("THNT_KERNEL").ok().as_deref()) {
-            Ok(d) => d,
-            Err(e) => panic!("{e}"),
-        })
+        ACTIVE.get_or_init(|| Self { kernel: Kernel::active() })
     }
 
-    /// The resolution rule behind [`Self::get`], parameterised over the
-    /// `THNT_KERNEL` value so tests can exercise it without mutating the
-    /// process environment: `None` detects, `Some(name)` forces.
+    /// [`Kernel::resolve`] as a dispatch handle: `None` detects,
+    /// `Some(name)` forces.
     ///
     /// # Errors
     ///
     /// Returns the parse/support error for an unknown or unsupported
     /// override.
     pub fn resolve(env: Option<&str>) -> Result<Self, String> {
-        match env {
-            None => Self::new(DspKernel::detect()),
-            Some(name) => Self::new(DspKernel::parse(name)?),
-        }
+        Kernel::resolve(env).map(|kernel| Self { kernel })
     }
 
     /// The backend this handle routes to.
-    pub fn kernel(&self) -> DspKernel {
+    pub fn kernel(&self) -> Kernel {
         self.kernel
     }
 
@@ -203,13 +119,14 @@ impl DspDispatch {
     pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot operand length mismatch");
         match self.kernel {
-            DspKernel::Scalar => dot_scalar(a, b),
+            Kernel::Scalar => dot_scalar(a, b),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `DspDispatch` construction verified AVX2 support.
-            DspKernel::Avx2 => unsafe { avx2::dot(a, b) },
+            // SAFETY: `DspDispatch` construction verified AVX2 support
+            // (Avx512 support implies it).
+            Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::dot(a, b) },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: `DspDispatch` construction verified NEON support.
-            DspKernel::Neon => unsafe { neon::dot(a, b) },
+            Kernel::Neon => unsafe { neon::dot(a, b) },
             #[allow(unreachable_patterns)]
             other => unreachable!("unsupported kernel {other:?} escaped construction"),
         }
@@ -228,13 +145,14 @@ impl DspDispatch {
     pub fn ln_eps(&self, src: &[f32], dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len(), "ln_eps operand length mismatch");
         match self.kernel {
-            DspKernel::Scalar => ln_eps_scalar(src, dst),
+            Kernel::Scalar => ln_eps_scalar(src, dst),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `DspDispatch` construction verified AVX2 support.
-            DspKernel::Avx2 => unsafe { avx2::ln_eps(src, dst) },
+            // SAFETY: `DspDispatch` construction verified AVX2 support
+            // (Avx512 support implies it).
+            Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::ln_eps(src, dst) },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: `DspDispatch` construction verified NEON support.
-            DspKernel::Neon => unsafe { neon::ln_eps(src, dst) },
+            Kernel::Neon => unsafe { neon::ln_eps(src, dst) },
             #[allow(unreachable_patterns)]
             other => unreachable!("unsupported kernel {other:?} escaped construction"),
         }
@@ -260,24 +178,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_and_parse_mirror_the_packed_kernel_contract() {
-        assert_eq!(DspKernel::parse("scalar").unwrap(), DspKernel::Scalar);
-        assert_eq!(DspKernel::parse("avx2").unwrap(), DspKernel::Avx2);
-        assert_eq!(DspKernel::parse("neon").unwrap(), DspKernel::Neon);
-        for bad in ["", "AVX2", "sse", "auto", "scalar "] {
-            assert!(DspKernel::parse(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn scalar_is_always_supported_and_listed_last() {
-        assert!(DspKernel::Scalar.is_supported());
-        let avail = DspKernel::available();
-        assert_eq!(*avail.last().unwrap(), DspKernel::Scalar);
-        assert!(avail.contains(&DspKernel::detect()));
-    }
-
-    #[test]
     fn resolve_rejects_unknown_values_loudly() {
         let err = DspDispatch::resolve(Some("turbo")).unwrap_err();
         assert!(err.contains("unknown THNT_KERNEL"), "got: {err}");
@@ -300,8 +200,27 @@ mod tests {
     }
 
     #[test]
+    fn avx512_resolves_and_runs_the_avx2_code() {
+        if !Kernel::Avx512.is_supported() {
+            return;
+        }
+        let wide = DspDispatch::resolve(Some("avx512")).unwrap();
+        assert_eq!(wide.kernel(), Kernel::Avx512);
+        let avx2 = DspDispatch::new(Kernel::Avx2).unwrap();
+        let a: Vec<f32> = (0..67).map(|i| (i as f32 * 0.37).sin()).collect();
+        let b: Vec<f32> = (0..67).map(|i| (i as f32 * 0.11).cos()).collect();
+        assert_eq!(wide.dot(&a, &b).to_bits(), avx2.dot(&a, &b).to_bits());
+        let src: Vec<f32> = (0..41).map(|i| (i as f32 * 0.7).exp() * 1e-4).collect();
+        let (mut got, mut want) = (vec![0.0f32; 41], vec![0.0f32; 41]);
+        wide.ln_eps(&src, &mut got);
+        avx2.ln_eps(&src, &mut want);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
     fn every_backend_computes_dot_and_log() {
-        for k in DspKernel::available() {
+        for k in Kernel::available() {
             let d = DspDispatch::new(k).unwrap();
             let a: Vec<f32> = (0..67).map(|i| (i as f32 * 0.37).sin()).collect();
             let b: Vec<f32> = (0..67).map(|i| (i as f32 * 0.11).cos()).collect();
@@ -336,7 +255,7 @@ mod tests {
     #[test]
     fn ln_eps_handles_zero_energy() {
         // Silence produces exactly-zero mel energies; ln(ε) must come out.
-        for k in DspKernel::available() {
+        for k in Kernel::available() {
             let d = DspDispatch::new(k).unwrap();
             let src = [0.0f32; 9];
             let mut dst = [0.0f32; 9];

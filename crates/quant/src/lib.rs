@@ -23,21 +23,6 @@
 use thnt_nn::Param;
 use thnt_tensor::fake_quantize;
 
-/// How a quantized activation buffer is laid out in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ActivationLayout {
-    /// One value per `bits`-bit slot, densely packed (`numel·bits` bits).
-    #[default]
-    Dense,
-    /// Bit-sliced u64 planes ([`thnt_strassen::packed::bitslice`]'s layout):
-    /// one plane of `numel.div_ceil(64)` words per bit, so the buffer is
-    /// `bits · numel.div_ceil(64)` words — word padding included, which is
-    /// what the quantized engine actually allocates.
-    ///
-    /// [`thnt_strassen::packed::bitslice`]: https://docs.rs/thnt-strassen
-    BitSliced,
-}
-
 /// Size/precision of one layer's output activation buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivationProfile {
@@ -47,29 +32,17 @@ pub struct ActivationProfile {
     pub numel: usize,
     /// Storage bits per element (8 or 16 in the paper).
     pub bits: u32,
-    /// Physical layout of the buffer.
-    pub layout: ActivationLayout,
 }
 
 impl ActivationProfile {
     /// Creates a densely packed profile entry.
     pub fn new(name: impl Into<String>, numel: usize, bits: u32) -> Self {
-        Self { name: name.into(), numel, bits, layout: ActivationLayout::Dense }
-    }
-
-    /// Creates a bit-sliced profile entry: `bits` u64-word planes of
-    /// `numel.div_ceil(64)` words each — the storage the popcount engine
-    /// mode really holds, rather than an f32 (or dense byte) overstatement.
-    pub fn bit_sliced(name: impl Into<String>, numel: usize, bits: u32) -> Self {
-        Self { name: name.into(), numel, bits, layout: ActivationLayout::BitSliced }
+        Self { name: name.into(), numel, bits }
     }
 
     /// Buffer size in bytes.
     pub fn bytes(&self) -> u64 {
-        match self.layout {
-            ActivationLayout::Dense => (self.numel as u64 * self.bits as u64).div_ceil(8),
-            ActivationLayout::BitSliced => self.bits as u64 * (self.numel as u64).div_ceil(64) * 8,
-        }
+        (self.numel as u64 * self.bits as u64).div_ceil(8)
     }
 }
 
@@ -377,19 +350,6 @@ mod tests {
         );
         assert_eq!(fp.total_bytes(), 10_790 + 16_000);
         assert!((fp.total_kb() - 26.16).abs() < 0.05);
-    }
-
-    #[test]
-    fn bit_sliced_profile_counts_word_padded_planes() {
-        // 490 elements → 8 words per plane → 8 planes × 8 words × 8 bytes.
-        let p = ActivationProfile::bit_sliced("input", 490, 8);
-        assert_eq!(p.bytes(), 8 * 8 * 8);
-        // Dense 8-bit for comparison: one byte per element.
-        assert_eq!(ActivationProfile::new("input", 490, 8).bytes(), 490);
-        // Exactly at a word boundary there is no padding: 64 elements at
-        // 8 bits is 64 bytes either way.
-        assert_eq!(ActivationProfile::bit_sliced("x", 64, 8).bytes(), 64);
-        assert_eq!(ActivationProfile::new("x", 64, 8).bytes(), 64);
     }
 
     #[test]

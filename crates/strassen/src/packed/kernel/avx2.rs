@@ -314,7 +314,7 @@ pub(crate) unsafe fn matmul_samples(v: &PackedView<'_>, x: &[f32], out: &mut [f3
     }
 }
 
-/// Output rows `r0..` of `W · M` into `chunk` (pre-zeroed): the shared
+/// Writes every element of `out = W · M` through the shared
 /// [`super::rhs_rows_striped`] driver over this backend's 64- and 8-column
 /// stripes. Element-wise adds in the scalar order throughout, so the
 /// output is bitwise identical to the scalar backend's.
@@ -326,14 +326,8 @@ pub(crate) unsafe fn matmul_samples(v: &PackedView<'_>, x: &[f32], out: &mut [f3
 /// for every set bit, and a set bit always names a column below `v.cols`
 /// (padding bits are clear, which every constructor checks).
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn rhs_rows(
-    v: &PackedView<'_>,
-    md: &[f32],
-    p: usize,
-    r0: usize,
-    chunk: &mut [f32],
-) {
-    super::rhs_rows_striped(v, md, p, r0, chunk, 64, rhs_stripe::<8>, 8, rhs_stripe::<1>);
+pub(crate) unsafe fn rhs_rows(v: &PackedView<'_>, md: &[f32], p: usize, out: &mut [f32]) {
+    super::rhs_rows_striped(v, md, p, out, 64, rhs_stripe::<8>, 8, rhs_stripe::<1>);
 }
 
 /// 32-byte aligned nibble→popcount table for `vpshufb`, replicated across
@@ -428,52 +422,6 @@ pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut
             acc += super::bitslice_tail_word(planes, wpr, w, prow[w], mrow[w], active);
         }
         *out = acc as i32;
-    }
-}
-
-/// Element-wise `dst[i] += src[i]` (8 lanes per instruction, scalar tail).
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime. Each step loads
-/// and stores 8 floats at `i` with `i + 8 <= src.len()`, and `dst` is
-/// resliced to `src.len()` first (a bounds-checked panic if shorter).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn slice_add(dst: &mut [f32], src: &[f32]) {
-    let n = src.len();
-    let dst = &mut dst[..n];
-    let mut i = 0;
-    while i + 8 <= n {
-        let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-        let s = _mm256_loadu_ps(src.as_ptr().add(i));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-        i += 8;
-    }
-    for j in i..n {
-        dst[j] += src[j];
-    }
-}
-
-/// Element-wise `dst[i] -= src[i]` (8 lanes per instruction, scalar tail).
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime. Each step loads
-/// and stores 8 floats at `i` with `i + 8 <= src.len()`, and `dst` is
-/// resliced to `src.len()` first (a bounds-checked panic if shorter).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn slice_sub(dst: &mut [f32], src: &[f32]) {
-    let n = src.len();
-    let dst = &mut dst[..n];
-    let mut i = 0;
-    while i + 8 <= n {
-        let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-        let s = _mm256_loadu_ps(src.as_ptr().add(i));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_sub_ps(d, s));
-        i += 8;
-    }
-    for j in i..n {
-        dst[j] -= src[j];
     }
 }
 

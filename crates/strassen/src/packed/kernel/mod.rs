@@ -34,10 +34,9 @@
 //!   has AVX-512 intrinsics and one portable loop for scalar, AVX2 and
 //!   NEON, and its quantize rounds by
 //!   [`super::bitslice::quantize_i8`]'s formula in every lane;
-//! * **element-wise slice ops** ([`KernelDispatch::slice_add`] /
-//!   [`KernelDispatch::slice_sub`] / [`KernelDispatch::slice_axpy`]) for
-//!   the depthwise tap loops — element-wise with no reassociation (the
-//!   SIMD `axpy` multiplies then adds, never fusing), so also bitwise
+//! * the **element-wise axpy** ([`KernelDispatch::slice_axpy`]) for the
+//!   depthwise group combine — element-wise with no reassociation (the
+//!   SIMD loops multiply then add, never fusing), so also bitwise
 //!   identical across backends;
 //! * the **signed window sum** ([`KernelDispatch::window_sum`]) for the
 //!   depthwise layers: every output lane sums its taps' masked, signed
@@ -46,13 +45,14 @@
 //!   backends. AVX2 (and AVX-512, which shares it) runs intrinsics; scalar
 //!   and NEON share one portable loop.
 //!
-//! The backend is chosen **once** per process by [`KernelDispatch::get`]:
-//! the `THNT_KERNEL` environment variable
+//! The backend is [`Kernel`], re-exported from `thnt-tensor`, which
+//! resolves it **once** per process for every dispatching crate
+//! ([`Kernel::active`]): the `THNT_KERNEL` environment variable
 //! (`scalar` | `avx2` | `avx512` | `neon`) forces a backend for
 //! benchmarking and CI, otherwise runtime feature detection picks the
 //! widest supported one. An unknown or unsupported `THNT_KERNEL` value
 //! aborts loudly — a benchmark silently falling back to scalar would
-//! report fiction.
+//! report fiction. [`KernelDispatch::get`] is the handle on that backend.
 //!
 //! # Exactness
 //!
@@ -65,11 +65,13 @@
 //! contract. Within one backend, results are deterministic and
 //! batch-size-invariant: every sample/row is reduced in the same order
 //! whether it arrives alone or in a batch. The bit-sliced popcount family,
-//! the element-wise slice ops and the window sum are the exception:
+//! the column-matrix product, the axpy and the window sum are the exception:
 //! integer arithmetic and element-wise f32 respectively, bitwise identical
 //! everywhere.
 
 use std::sync::OnceLock;
+
+pub use thnt_tensor::Kernel;
 
 pub(crate) mod scalar;
 
@@ -120,96 +122,6 @@ impl WindowTap {
     }
 }
 
-/// A compute-kernel backend identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// Portable bit-iteration reference kernel (always available).
-    Scalar,
-    /// 8-lane AVX2 mask-blend kernel (x86_64 with AVX2 support).
-    Avx2,
-    /// AVX-512 `vpopcntq` kernel for the bit-sliced popcount family; the
-    /// f32-lane loops reuse the AVX2 implementation (x86_64 with AVX-512
-    /// `vpopcntdq` support).
-    Avx512,
-    /// 4-lane NEON mask-select kernel (aarch64).
-    Neon,
-}
-
-impl Kernel {
-    /// The backend's stable lowercase name — the value `THNT_KERNEL`
-    /// accepts and the `kernel` field benchmark rows report.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Avx2 => "avx2",
-            Kernel::Avx512 => "avx512",
-            Kernel::Neon => "neon",
-        }
-    }
-
-    /// Parses a `THNT_KERNEL` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message for anything other than `scalar`,
-    /// `avx2`, `avx512` or `neon` — unknown names must fail loudly, not
-    /// silently fall back.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(Kernel::Scalar),
-            "avx2" => Ok(Kernel::Avx2),
-            "avx512" => Ok(Kernel::Avx512),
-            "neon" => Ok(Kernel::Neon),
-            other => Err(format!(
-                "unknown THNT_KERNEL value {other:?}: expected \"scalar\", \"avx2\", \
-                 \"avx512\" or \"neon\""
-            )),
-        }
-    }
-
-    /// Whether this backend can run on the current host (compile-target
-    /// architecture plus runtime CPU feature detection).
-    pub fn is_supported(&self) -> bool {
-        match self {
-            Kernel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            // The f32-lane loops route to the AVX2 code, so AVX2 must be
-            // present alongside the popcount extension.
-            Kernel::Avx512 => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
-                    && std::arch::is_x86_feature_detected!("avx2")
-            }
-            #[cfg(target_arch = "aarch64")]
-            Kernel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            #[allow(unreachable_patterns)]
-            _ => false,
-        }
-    }
-
-    /// Every backend the current host supports, widest first ([`Kernel::Scalar`]
-    /// is always present and always last).
-    pub fn available() -> Vec<Kernel> {
-        [Kernel::Avx512, Kernel::Avx2, Kernel::Neon, Kernel::Scalar]
-            .into_iter()
-            .filter(Kernel::is_supported)
-            .collect()
-    }
-
-    /// The widest backend the current host supports.
-    pub fn detect() -> Kernel {
-        Kernel::available()[0]
-    }
-}
-
-impl std::fmt::Display for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A resolved kernel backend: the handle the packed operations route
 /// through.
 ///
@@ -246,16 +158,12 @@ impl KernelDispatch {
     /// current host (e.g. `Kernel::Neon` on x86_64, or `Kernel::Avx2` on a
     /// CPU without AVX2).
     pub fn new(kernel: Kernel) -> Result<Self, String> {
-        if kernel.is_supported() {
-            Ok(Self { kernel })
-        } else {
-            Err(format!("kernel {:?} is not supported on this host", kernel.name()))
-        }
+        kernel.supported().map(|kernel| Self { kernel })
     }
 
-    /// The process-wide dispatch handle, resolved once on first use:
-    /// `THNT_KERNEL` (`scalar` | `avx2` | `avx512` | `neon`) if set,
-    /// otherwise the widest backend runtime detection finds.
+    /// The process-wide dispatch handle on [`Kernel::active`]: `THNT_KERNEL`
+    /// (`scalar` | `avx2` | `avx512` | `neon`) if set, otherwise the widest
+    /// backend runtime detection finds.
     ///
     /// # Panics
     ///
@@ -263,25 +171,18 @@ impl KernelDispatch {
     /// the override exists for benchmarking and CI, where a silent fallback
     /// would invalidate the run.
     pub fn get() -> &'static KernelDispatch {
-        ACTIVE.get_or_init(|| match Self::resolve(std::env::var("THNT_KERNEL").ok().as_deref()) {
-            Ok(d) => d,
-            Err(e) => panic!("{e}"),
-        })
+        ACTIVE.get_or_init(|| Self { kernel: Kernel::active() })
     }
 
-    /// The resolution rule behind [`Self::get`], parameterised over the
-    /// `THNT_KERNEL` value so tests can exercise it without mutating the
-    /// process environment: `None` detects, `Some(name)` forces.
+    /// [`Kernel::resolve`] as a dispatch handle: `None` detects,
+    /// `Some(name)` forces.
     ///
     /// # Errors
     ///
     /// Returns the parse/support error for an unknown or unsupported
     /// override.
     pub fn resolve(env: Option<&str>) -> Result<Self, String> {
-        match env {
-            None => Self::new(Kernel::detect()),
-            Some(name) => Self::new(Kernel::parse(name)?),
-        }
+        Kernel::resolve(env).map(|kernel| Self { kernel })
     }
 
     /// The backend this handle routes to.
@@ -330,32 +231,25 @@ impl KernelDispatch {
         }
     }
 
-    /// Column-matrix product rows: computes output rows `r0..` of `W · M`
-    /// into `chunk` (a whole number of `p`-wide rows, pre-zeroed), where
-    /// `md` is `M` in row-major `[cols, p]`. Each set bit contributes a
-    /// contiguous `p`-long row of `M`; the add is element-wise, so every
-    /// backend produces bitwise identical output here.
+    /// Column-matrix product: writes every element of `out = W · M`
+    /// (`v.rows` rows of `p`, whatever `out` held before), where `md` is `M`
+    /// in row-major `[cols, p]`. Each set bit contributes a contiguous
+    /// `p`-long row of `M`; the add is element-wise, so every backend
+    /// produces bitwise identical output here.
     ///
     /// Caller guarantees `md.len() == v.cols · p` and
-    /// `chunk.len()` a multiple of `p` with `r0 + chunk.len()/p <= v.rows`.
+    /// `out.len() == v.rows · p`.
     #[inline]
-    pub(crate) fn rhs_rows(
-        &self,
-        v: &PackedView<'_>,
-        md: &[f32],
-        p: usize,
-        r0: usize,
-        chunk: &mut [f32],
-    ) {
+    pub(crate) fn rhs_rows(&self, v: &PackedView<'_>, md: &[f32], p: usize, out: &mut [f32]) {
         match self.kernel {
-            Kernel::Scalar => scalar::rhs_rows(v, md, p, r0, chunk),
+            Kernel::Scalar => scalar::rhs_rows(v, md, p, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `KernelDispatch` construction verified AVX2 support
             // (Avx512 support implies it — the f32 loops are shared).
-            Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::rhs_rows(v, md, p, r0, chunk) },
+            Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::rhs_rows(v, md, p, out) },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: `KernelDispatch` construction verified NEON support.
-            Kernel::Neon => unsafe { neon::rhs_rows(v, md, p, r0, chunk) },
+            Kernel::Neon => unsafe { neon::rhs_rows(v, md, p, out) },
             #[allow(unreachable_patterns)]
             other => unreachable!("unsupported kernel {other:?} escaped construction"),
         }
@@ -451,54 +345,6 @@ impl KernelDispatch {
             // SAFETY: `KernelDispatch` construction verified AVX-512F
             // support, and both operand lengths were asserted above.
             Kernel::Avx512 => unsafe { avx512::bitslice_columns(m, len, cols, inv_scale, out) },
-            #[allow(unreachable_patterns)]
-            other => unreachable!("unsupported kernel {other:?} escaped construction"),
-        }
-    }
-
-    /// Element-wise `dst[i] += src[i]` over `src.len()` elements.
-    ///
-    /// Element-wise with no reassociation, so every backend produces
-    /// bitwise identical output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() < src.len()`.
-    #[inline]
-    pub fn slice_add(&self, dst: &mut [f32], src: &[f32]) {
-        match self.kernel {
-            Kernel::Scalar => scalar::slice_add(dst, src),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `KernelDispatch` construction verified AVX2 support
-            // (Avx512 support implies it — the f32 loops are shared).
-            Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::slice_add(dst, src) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: `KernelDispatch` construction verified NEON support.
-            Kernel::Neon => unsafe { neon::slice_add(dst, src) },
-            #[allow(unreachable_patterns)]
-            other => unreachable!("unsupported kernel {other:?} escaped construction"),
-        }
-    }
-
-    /// Element-wise `dst[i] -= src[i]` over `src.len()` elements.
-    ///
-    /// Element-wise with no reassociation, so every backend produces
-    /// bitwise identical output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() < src.len()`.
-    #[inline]
-    pub fn slice_sub(&self, dst: &mut [f32], src: &[f32]) {
-        match self.kernel {
-            Kernel::Scalar => scalar::slice_sub(dst, src),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `KernelDispatch` construction verified AVX2 support
-            // (Avx512 support implies it — the f32 loops are shared).
-            Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::slice_sub(dst, src) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: `KernelDispatch` construction verified NEON support.
-            Kernel::Neon => unsafe { neon::slice_sub(dst, src) },
             #[allow(unreachable_patterns)]
             other => unreachable!("unsupported kernel {other:?} escaped construction"),
         }
@@ -662,6 +508,8 @@ pub(crate) type StripeFn = unsafe fn(&[f32], usize, &[(u32, u32)], &mut [f32], u
 /// full blocks, and finishes the ragged columns with a scalar loop in the
 /// same bit order — per element exactly the scalar backend's adds in
 /// exactly its order, so every backend stays bitwise identical to scalar.
+/// Every element of `out` is written: a stripe stores its registers, and a
+/// row with no set bits stores zeros.
 ///
 /// # Safety
 ///
@@ -676,8 +524,7 @@ pub(crate) unsafe fn rhs_rows_striped(
     v: &PackedView<'_>,
     md: &[f32],
     p: usize,
-    r0: usize,
-    chunk: &mut [f32],
+    out: &mut [f32],
     wide_cols: usize,
     wide: StripeFn,
     narrow_cols: usize,
@@ -686,8 +533,8 @@ pub(crate) unsafe fn rhs_rows_striped(
     let wpr = v.words_per_row;
     // (row of M, IEEE sign bit) per non-zero entry, reused across rows.
     let mut bits: Vec<(u32, u32)> = Vec::with_capacity(64 * wpr);
-    for (ri, orow) in chunk.chunks_mut(p).enumerate() {
-        let base = (r0 + ri) * wpr;
+    for (r, orow) in out.chunks_mut(p).enumerate() {
+        let base = r * wpr;
         bits.clear();
         for w in 0..wpr {
             let off = (w * 64) as u32;
@@ -703,7 +550,8 @@ pub(crate) unsafe fn rhs_rows_striped(
             }
         }
         if bits.is_empty() {
-            continue; // the pre-zeroed row is already the answer
+            orow.fill(0.0);
+            continue;
         }
         let mut c = 0;
         while c + wide_cols <= p {

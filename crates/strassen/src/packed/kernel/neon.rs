@@ -276,7 +276,7 @@ unsafe fn rhs_stripe<const NB: usize>(
     }
 }
 
-/// Output rows `r0..` of `W · M` into `chunk` (pre-zeroed): the shared
+/// Writes every element of `out = W · M` through the shared
 /// [`super::rhs_rows_striped`] driver over this backend's 32- and 4-column
 /// stripes. Element-wise adds in the scalar order throughout, so the
 /// output is bitwise identical to the scalar backend's.
@@ -288,14 +288,8 @@ unsafe fn rhs_stripe<const NB: usize>(
 /// for every set bit, and a set bit always names a column below `v.cols`
 /// (padding bits are clear, which every constructor checks).
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn rhs_rows(
-    v: &PackedView<'_>,
-    md: &[f32],
-    p: usize,
-    r0: usize,
-    chunk: &mut [f32],
-) {
-    super::rhs_rows_striped(v, md, p, r0, chunk, 32, rhs_stripe::<8>, 4, rhs_stripe::<1>);
+pub(crate) unsafe fn rhs_rows(v: &PackedView<'_>, md: &[f32], p: usize, out: &mut [f32]) {
+    super::rhs_rows_striped(v, md, p, out, 32, rhs_stripe::<8>, 4, rhs_stripe::<1>);
 }
 
 /// Bit-sliced int8 matvec: per 2-word (128-bit) block, each active
@@ -335,52 +329,6 @@ pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut
             acc += super::bitslice_tail_word(planes, wpr, w, prow[w], mrow[w], active);
         }
         *out = acc as i32;
-    }
-}
-
-/// Element-wise `dst[i] += src[i]` (4 lanes per instruction, scalar tail).
-///
-/// # Safety
-///
-/// The caller must have verified NEON support at runtime. Each step loads
-/// and stores 4 floats at `i` with `i + 4 <= src.len()`, and `dst` is
-/// resliced to `src.len()` first (a bounds-checked panic if shorter).
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn slice_add(dst: &mut [f32], src: &[f32]) {
-    let n = src.len();
-    let dst = &mut dst[..n];
-    let mut i = 0;
-    while i + 4 <= n {
-        let d = vld1q_f32(dst.as_ptr().add(i));
-        let s = vld1q_f32(src.as_ptr().add(i));
-        vst1q_f32(dst.as_mut_ptr().add(i), vaddq_f32(d, s));
-        i += 4;
-    }
-    for j in i..n {
-        dst[j] += src[j];
-    }
-}
-
-/// Element-wise `dst[i] -= src[i]` (4 lanes per instruction, scalar tail).
-///
-/// # Safety
-///
-/// The caller must have verified NEON support at runtime. Each step loads
-/// and stores 4 floats at `i` with `i + 4 <= src.len()`, and `dst` is
-/// resliced to `src.len()` first (a bounds-checked panic if shorter).
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn slice_sub(dst: &mut [f32], src: &[f32]) {
-    let n = src.len();
-    let dst = &mut dst[..n];
-    let mut i = 0;
-    while i + 4 <= n {
-        let d = vld1q_f32(dst.as_ptr().add(i));
-        let s = vld1q_f32(src.as_ptr().add(i));
-        vst1q_f32(dst.as_mut_ptr().add(i), vsubq_f32(d, s));
-        i += 4;
-    }
-    for j in i..n {
-        dst[j] -= src[j];
     }
 }
 

@@ -157,20 +157,6 @@ pub(crate) fn bitslice_columns(m: &[f32], cols: usize, inv_scale: f32, out: &mut
     }
 }
 
-/// Element-wise `dst[i] += src[i]`.
-pub(crate) fn slice_add(dst: &mut [f32], src: &[f32]) {
-    for (d, &s) in dst[..src.len()].iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
-/// Element-wise `dst[i] -= src[i]`.
-pub(crate) fn slice_sub(dst: &mut [f32], src: &[f32]) {
-    for (d, &s) in dst[..src.len()].iter_mut().zip(src) {
-        *d -= s;
-    }
-}
-
 /// Element-wise `dst[i] += a · src[i]` (multiply then add, never fused).
 pub(crate) fn slice_axpy(dst: &mut [f32], a: f32, src: &[f32]) {
     for (d, &s) in dst[..src.len()].iter_mut().zip(src) {
@@ -196,13 +182,14 @@ pub(crate) fn window_sum(src: &[f32], masks: &[u32], taps: &[WindowTap], out: &m
     }
 }
 
-/// Output rows `r0..` of `W · M` into `chunk` (pre-zeroed): each set bit
+/// `out = W · M`, every row cleared before it accumulates: each set bit
 /// contributes a contiguous `p`-long row of `M`, so the inner loop is a
 /// unit-stride slice add/subtract.
-pub(crate) fn rhs_rows(v: &PackedView<'_>, md: &[f32], p: usize, r0: usize, chunk: &mut [f32]) {
+pub(crate) fn rhs_rows(v: &PackedView<'_>, md: &[f32], p: usize, out: &mut [f32]) {
     let wpr = v.words_per_row;
-    for (ri, orow) in chunk.chunks_mut(p).enumerate() {
-        let base = (r0 + ri) * wpr;
+    for (r, orow) in out.chunks_mut(p).enumerate() {
+        orow.fill(0.0);
+        let base = r * wpr;
         for w in 0..wpr {
             let off = w * WORD_BITS;
             let mut pl = v.plus[base + w];

@@ -236,17 +236,6 @@ impl<'a> PackedTernary<'a> {
         }
     }
 
-    /// Clones into an owning (`'static`) matrix without consuming `self`.
-    pub fn to_static(&self) -> PackedTernary<'static> {
-        PackedTernary {
-            rows: self.rows,
-            cols: self.cols,
-            words_per_row: self.words_per_row,
-            plus: Cow::Owned(self.plus.to_vec()),
-            minus: Cow::Owned(self.minus.to_vec()),
-        }
-    }
-
     /// Packed storage in bytes: both bitplanes, including row padding.
     pub fn packed_bytes(&self) -> usize {
         (self.plus.len() + self.minus.len()) * std::mem::size_of::<u64>()
@@ -427,7 +416,8 @@ impl<'a> PackedTernary<'a> {
 
     /// [`Self::matmul_rhs`] into a caller-provided buffer (no allocation) —
     /// the batch loop of the packed convolution engine writes each sample's
-    /// output directly into its slice of the batched tensor.
+    /// output directly into its slice of the batched tensor. Every element
+    /// of `out` is overwritten, so the buffer need not be zeroed.
     ///
     /// # Panics
     ///
@@ -463,11 +453,10 @@ impl<'a> PackedTernary<'a> {
     ) {
         assert_eq!(m.len(), self.cols * p, "packed matmul_rhs dimension mismatch");
         assert_eq!(out.len(), self.rows * p, "packed matmul_rhs output length mismatch");
-        out.fill(0.0);
         if self.rows == 0 || p == 0 {
             return;
         }
-        dispatch.rhs_rows(&self.view(), m, p, 0, out);
+        dispatch.rhs_rows(&self.view(), m, p, out);
     }
 
     /// The exact number of additions/subtractions [`Self::matvec`] executes:

@@ -4,8 +4,9 @@
 //! This crate is the numeric substrate of the workspace: a compact row-major
 //! [`Tensor`] type plus the handful of kernels every model in the paper needs —
 //! blocked [`matmul`](crate::matmul::matmul), `im2col`-based convolutions,
-//! depthwise convolutions, pooling, and a small batch-parallel helper built on
-//! `crossbeam` scoped threads.
+//! depthwise convolutions, pooling, a small batch-parallel helper built on
+//! `crossbeam` scoped threads, and the [`Kernel`] backend that the
+//! SIMD-dispatched crates resolve once from `THNT_KERNEL`.
 //!
 //! Everything is deliberately simple: contiguous storage, no views with
 //! arbitrary strides, no autograd (gradients live in `thnt-nn`). The kernels
@@ -28,6 +29,7 @@
 
 pub mod conv;
 pub mod init;
+pub mod kernel;
 pub mod matmul;
 pub mod par;
 pub mod pool;
@@ -37,6 +39,7 @@ pub mod tensor;
 
 pub use conv::{col2im, conv2d, depthwise_conv2d, im2col, im2col_into, Conv2dSpec};
 pub use init::{gaussian, kaiming_normal, uniform_init, xavier_uniform};
+pub use kernel::Kernel;
 pub use matmul::{matmul, matmul_nt, matmul_tn, matvec};
 pub use par::{num_threads, parallel_for, parallel_zip_chunks};
 pub use pool::{avg_pool2d, global_avg_pool, max_pool2d};

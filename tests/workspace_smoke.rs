@@ -31,8 +31,6 @@ fn umbrella_reexports_resolve() {
 
     let profile = thnt::quant::ActivationProfile::new("fc", 32, 8);
     assert_eq!(thnt::quant::activation_footprint_bytes(&[profile]), 32);
-    let sliced = thnt::quant::ActivationProfile::bit_sliced("fc", 64, 8);
-    assert_eq!(thnt::quant::activation_footprint_bytes(&[sliced]), 64);
 
     let schedule = thnt::prune::PruneSchedule::ramp(0.5, 100, 10);
     assert_eq!(schedule.final_sparsity, 0.5);

@@ -315,7 +315,7 @@ impl Enc {
         buf.put_f32_le(tree.sigma);
         buf.put_u32_le(tree.num_classes as u32);
         self.put_dense(&mut buf, &tree.z);
-        for d in tree.theta.iter().chain(tree.w.iter()).chain(tree.v.iter()) {
+        for d in &tree.nodes {
             self.put_dense(&mut buf, d);
         }
         buf
@@ -379,7 +379,7 @@ pub fn save_thnt2_with<W: Write>(
 ///
 /// Returns any I/O error from the writer.
 pub fn save_quantized_thnt2_with<W: Write>(
-    engine: &QuantizedStHybrid,
+    engine: &QuantizedStHybrid<'_>,
     meta: Option<&InferenceMeta>,
     opts: SaveOptions,
     writer: W,
@@ -878,14 +878,14 @@ fn decode_tree<'a>(buf: &'a [u8], ctx: &mut DecodeCtx<'a>) -> io::Result<PackedB
     let topo = TreeTopology::new(depth);
     let z = cur.dense(ctx, "projection z")?;
     let proj_dim = z.bias.len();
-    let read_nodes = |cur: &mut Cursor<'a>,
-                      ctx: &mut DecodeCtx<'a>,
-                      n: usize,
-                      out_dim: usize,
-                      what|
-     -> io::Result<Vec<_>> {
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
+    let kinds = [
+        (topo.num_internal(), 1, "branch node θ"),
+        (topo.num_nodes(), num_classes, "score node W"),
+        (topo.num_nodes(), num_classes, "gate node V"),
+    ];
+    let mut nodes = Vec::with_capacity(kinds.iter().map(|k| k.0).sum());
+    for (count, out_dim, what) in kinds {
+        for _ in 0..count {
             let d = cur.dense(ctx, what)?;
             if d.wb.cols() != proj_dim || d.bias.len() != out_dim {
                 return Err(invalid_data(format!(
@@ -897,13 +897,9 @@ fn decode_tree<'a>(buf: &'a [u8], ctx: &mut DecodeCtx<'a>) -> io::Result<PackedB
             }
             nodes.push(d);
         }
-        Ok(nodes)
-    };
-    let theta = read_nodes(&mut cur, ctx, topo.num_internal(), 1, "branch node θ")?;
-    let w = read_nodes(&mut cur, ctx, topo.num_nodes(), num_classes, "score node W")?;
-    let v = read_nodes(&mut cur, ctx, topo.num_nodes(), num_classes, "gate node V")?;
+    }
     cur.finish()?;
-    Ok(PackedBonsai { z, theta, w, v, topo, sharpness, sigma, num_classes })
+    Ok(PackedBonsai { z, nodes, topo, sharpness, sigma, num_classes })
 }
 
 fn decode_meta(buf: &[u8]) -> io::Result<InferenceMeta> {
@@ -1170,7 +1166,7 @@ fn decode_schedule(buf: &[u8]) -> io::Result<QuantSchedule> {
 /// section, or a schedule/weight mismatch.
 pub fn load_quantized_thnt2<R: Read>(
     mut reader: R,
-) -> io::Result<(QuantizedStHybrid, Option<InferenceMeta>)> {
+) -> io::Result<(QuantizedStHybrid<'static>, Option<InferenceMeta>)> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
     let mut sections = SectionReaderRef::parse(&raw)?;
@@ -1179,7 +1175,7 @@ pub fn load_quantized_thnt2<R: Read>(
         .ok_or_else(|| invalid_data("artifact is missing the QNT8 section"))?;
     let schedule = decode_schedule(quant)?;
     let (engine, meta) = decode_artifact(&mut sections, false)?;
-    let quantized = QuantizedStHybrid::compile(&engine.into_owned(), schedule)
+    let quantized = QuantizedStHybrid::compile(engine.into_owned(), schedule)
         .map_err(|e| invalid_data(format!("QNT8: {e}")))?;
     Ok((quantized, meta))
 }
@@ -1449,7 +1445,7 @@ mod tests {
         assert!(served.iter().all(|&(_, n)| n > 0), "a field never loaded: {served:?}");
     }
 
-    fn tiny_quantized(seed: u64) -> QuantizedStHybrid {
+    fn tiny_quantized(seed: u64) -> QuantizedStHybrid<'static> {
         let (_, engine) = tiny_engine(seed);
         let calib = thnt_tensor::Tensor::from_vec(
             (0..4 * 49 * 10).map(|i| ((i % 23) as f32 - 11.0) / 8.0).collect(),
@@ -1680,7 +1676,7 @@ mod tests {
             assert!(payloads_lent, "layer {i}: aligned v3 inline copied a payload");
         }
         let tree = &borrowed.tree;
-        let mut nodes = std::iter::once(&tree.z).chain(&tree.theta).chain(&tree.w).chain(&tree.v);
+        let mut nodes = std::iter::once(&tree.z).chain(&tree.nodes);
         assert!(nodes.all(dense_lent), "tree â/bias must be borrowed");
 
         // Shift the same bytes off 8-byte alignment: the loader falls back

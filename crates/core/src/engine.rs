@@ -77,28 +77,17 @@ impl<'a> PackedDense<'a> {
     ///
     /// Panics if `x` is not `[n, in_dim]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let n = x.dims()[0];
-        let r = self.a_hat.len();
-        let mut hidden = self.wb.matmul(x);
-        {
-            let hd = hidden.data_mut();
-            for s in 0..n {
-                for (k, &a) in self.a_hat.iter().enumerate() {
-                    hd[s * r + k] *= a;
-                }
-            }
-        }
-        let mut y = self.wc.matmul(&hidden);
-        {
-            let out = self.bias.len();
-            let yd = y.data_mut();
-            for s in 0..n {
-                for (o, &b) in self.bias.iter().enumerate() {
-                    yd[s * out + o] += b;
-                }
-            }
-        }
+        let mut y = self.wc.matmul(&self.hidden(x));
+        y.data_mut().iter_mut().zip(self.bias.iter().cycle()).for_each(|(v, b)| *v += b);
         y
+    }
+
+    /// The hidden stage `â ⊙ (W_b · x)`, `[n, in] → [n, r]`, that
+    /// [`Self::forward`] and the quantized engine's calibration both read.
+    pub(crate) fn hidden(&self, x: &Tensor) -> Tensor {
+        let mut hidden = self.wb.matmul(x);
+        hidden.data_mut().iter_mut().zip(self.a_hat.iter().cycle()).for_each(|(v, a)| *v *= a);
+        hidden
     }
 
     /// Additions/subtractions executed per input sample.
@@ -159,7 +148,7 @@ impl<'a> PackedConv2d<'a> {
     /// `im2col` altogether: its `[ic, h·w]` sample already is the column
     /// matrix, and the kernel reads it in place.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         let (oh, ow) = self.spec.out_dims(h, w);
         let spatial = oh * ow;
         let oc = self.bias.len();
@@ -168,22 +157,37 @@ impl<'a> PackedConv2d<'a> {
             return y;
         }
         let d = KernelDispatch::get();
+        let yd = y.data_mut();
+        self.hidden_maps(x, |s, hidden| {
+            let dst = &mut yd[s * oc * spatial..(s + 1) * oc * spatial];
+            self.wc.matmul_rhs_slice_into_with(d, hidden, spatial, dst);
+            for (row, &b) in dst.chunks_mut(spatial).zip(self.bias.iter()) {
+                row.iter_mut().for_each(|v| *v += b);
+            }
+        });
+        y
+    }
+
+    /// The hidden stage, one sample at a time: `f(s, hidden)` gets sample
+    /// `s`'s `[r × positions]` map `â ⊙ (W_b · conv_columns(x_s))`, which
+    /// [`Self::forward`] and the quantized engine's calibration both read.
+    pub(crate) fn hidden_maps(&self, x: &Tensor, mut f: impl FnMut(usize, &[f32])) {
+        let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+        let (oh, ow) = self.spec.out_dims(h, w);
+        let spatial = oh * ow;
+        let d = KernelDispatch::get();
         let mut cols = Vec::new();
         let mut hidden = vec![0.0f32; self.a_hat.len() * spatial];
         let plane = ic * h * w;
-        for (s, dst) in y.data_mut().chunks_mut(oc * spatial).enumerate() {
+        for s in 0..n {
             let sample = &x.data()[s * plane..(s + 1) * plane];
             let m = conv_columns(&self.spec, sample, (ic, h, w), &mut cols);
             self.wb.matmul_rhs_slice_into_with(d, m, spatial, &mut hidden);
             for (row, &a) in hidden.chunks_mut(spatial).zip(self.a_hat.iter()) {
                 row.iter_mut().for_each(|v| *v *= a);
             }
-            self.wc.matmul_rhs_slice_into_with(d, &hidden, spatial, dst);
-            for (row, &b) in dst.chunks_mut(spatial).zip(self.bias.iter()) {
-                row.iter_mut().for_each(|v| *v += b);
-            }
+            f(s, &hidden);
         }
-        y
     }
 
     /// Additions/subtractions per input sample for an `h × w` input.
@@ -648,9 +652,9 @@ impl<'a> PackedStStack<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedBonsai<'a> {
     pub(crate) z: PackedDense<'a>,
-    pub(crate) theta: Vec<PackedDense<'a>>,
-    pub(crate) w: Vec<PackedDense<'a>>,
-    pub(crate) v: Vec<PackedDense<'a>>,
+    /// Every node dense, `topo`'s branch nodes `θ` then its score nodes `W`
+    /// and gate nodes `V`: the order of the TREE section and of the schedule.
+    pub(crate) nodes: Vec<PackedDense<'a>>,
     pub(crate) topo: TreeTopology,
     pub(crate) sharpness: f32,
     pub(crate) sigma: f32,
@@ -666,9 +670,11 @@ impl<'a> PackedBonsai<'a> {
     pub fn compile(tree: &StrassenBonsai) -> PackedBonsai<'static> {
         PackedBonsai {
             z: PackedDense::compile(tree.projection()),
-            theta: tree.branch_nodes().iter().map(PackedDense::compile).collect(),
-            w: tree.score_nodes().iter().map(PackedDense::compile).collect(),
-            v: tree.gate_nodes().iter().map(PackedDense::compile).collect(),
+            nodes: [tree.branch_nodes(), tree.score_nodes(), tree.gate_nodes()]
+                .into_iter()
+                .flatten()
+                .map(PackedDense::compile)
+                .collect(),
             topo: *tree.topology(),
             sharpness: tree.branch_sharpness(),
             sigma: tree.config().sigma,
@@ -685,21 +691,20 @@ impl<'a> PackedBonsai<'a> {
 
     /// The tree's routing over `n` samples, given each node's product:
     /// `node(i, dense)` is node `dense`'s `[n, out]` output on the shared
-    /// projection `ẑ`, and `i` its index in [`Self::nodes`]' `θ ‖ W ‖ V`
-    /// order. The packed engine passes f32 products over `ẑ`, the quantized
-    /// engine popcount products over one bit-sliced `ẑ`; the routing
-    /// arithmetic is this one loop for both.
+    /// projection `ẑ`, and `i` its index in `nodes`' `θ ‖ W ‖ V` order,
+    /// whose ranges `topo` gives. The packed engine passes f32 products
+    /// over `ẑ`, the quantized engine popcount products over one bit-sliced
+    /// `ẑ`; the routing arithmetic is this one loop for both.
     pub(crate) fn route(
         &self,
         n: usize,
-        node: impl Fn(usize, &PackedDense<'a>) -> Tensor,
+        mut node: impl FnMut(usize, &PackedDense<'a>) -> Tensor,
     ) -> Tensor {
         let l = self.num_classes;
-        let (branches, scores) = (self.theta.len(), self.w.len());
-        let num_nodes = self.topo.num_nodes();
+        let (branches, num_nodes) = (self.topo.num_internal(), self.topo.num_nodes());
         let mut probs = vec![vec![0.0f32; n]; num_nodes];
         probs[0] = vec![1.0; n];
-        for (j, theta) in self.theta.iter().enumerate() {
+        for (j, theta) in self.nodes[..branches].iter().enumerate() {
             let u = node(j, theta);
             let (lc, rc) = (self.topo.left(j), self.topo.right(j));
             for s in 0..n {
@@ -710,8 +715,9 @@ impl<'a> PackedBonsai<'a> {
         }
         let mut y = Tensor::zeros(&[n, l]);
         for k in 0..num_nodes {
-            let a = node(branches + k, &self.w[k]);
-            let t = node(branches + scores + k, &self.v[k]).map(|b| (self.sigma * b).tanh());
+            let (w, v) = (branches + k, branches + num_nodes + k);
+            let a = node(w, &self.nodes[w]);
+            let t = node(v, &self.nodes[v]).map(|b| (self.sigma * b).tanh());
             let yd = y.data_mut();
             for s in 0..n {
                 let p = probs[k][s];
@@ -728,15 +734,8 @@ impl<'a> PackedBonsai<'a> {
         self.num_classes
     }
 
-    /// Every node dense in `θ ‖ W ‖ V` order: the order of
-    /// [`Self::route`]'s node indices and of
-    /// [`crate::QuantSchedule::node_hidden`].
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = &PackedDense<'a>> {
-        self.theta.iter().chain(&self.w).chain(&self.v)
-    }
-
     fn sublayers(&self) -> impl Iterator<Item = &PackedDense<'a>> {
-        std::iter::once(&self.z).chain(self.nodes())
+        std::iter::once(&self.z).chain(&self.nodes)
     }
 }
 
@@ -1018,20 +1017,13 @@ impl<'a> PackedStHybrid<'a> {
             },
             tree: PackedBonsai {
                 z: dense(self.tree.z),
-                theta: self.tree.theta.into_iter().map(dense).collect(),
-                w: self.tree.w.into_iter().map(dense).collect(),
-                v: self.tree.v.into_iter().map(dense).collect(),
+                nodes: self.tree.nodes.into_iter().map(dense).collect(),
                 topo: self.tree.topo,
                 sharpness: self.tree.sharpness,
                 sigma: self.tree.sigma,
                 num_classes: self.tree.num_classes,
             },
         }
-    }
-
-    /// Clones into an owning (`'static`) engine without consuming `self`.
-    pub fn to_static(&self) -> PackedStHybrid<'static> {
-        self.clone().into_owned()
     }
 }
 

@@ -11,16 +11,17 @@
 //!    f32 engine over a calibration batch and records, with a
 //!    [`thnt_quant::RangeObserver`], the dynamic range at every point the
 //!    quantized engine will round to int8 — each strassenified layer's
-//!    input and `â`-scaled hidden activations, plus the tree's shared
-//!    projection `ẑ`. The result is a [`QuantSchedule`] of per-layer
-//!    scales.
-//! 2. **Compilation** ([`QuantizedStHybrid::compile`]) keeps the packed
-//!    engine as its base and, per strassenified layer, pre-folds every
+//!    input and its packed hidden stage `â ⊙ (W_b · x)`, plus the tree's
+//!    shared projection `ẑ`. The result is a [`QuantSchedule`] of
+//!    per-layer scales.
+//! 2. **Compilation** ([`QuantizedStHybrid::compile`]) moves the packed
+//!    engine in as its base and, per strassenified layer, pre-folds every
 //!    per-channel f32 factor into requantization constants: the hidden
 //!    dequantization `s_in · â[k]`, and the output stage `a_ch · s_h` /
 //!    `a_ch · bias + b` with any following batch-norm affine `(a, b)`
-//!    folded in. The ternary weights are the base's; nothing is copied.
-//! 3. **Inference** quantizes each activation tensor once
+//!    folded in. The ternary weights are the base's, borrowed or owned as
+//!    it holds them; nothing is copied.
+//! 3. **Inference** quantizes each activation matrix once
 //!    (`q = clamp(round(x/s), −127, 127)`, stored as bit planes) and
 //!    evaluates
 //!
@@ -32,14 +33,14 @@
 //!    out   = (a ⊙ s_h) · y_int + (a ⊙ bias + b)
 //!    ```
 //!
-//!    The dense layers and the tree head hold each sample as one
-//!    [`thnt_strassen::BitSliced`] vector. A convolution runs each sample
-//!    channel-major from input to output: its `[k × positions]` column
-//!    matrix and its `[r × positions]` hidden map are bit-sliced as
-//!    [`thnt_strassen::BitSlicedColumns`], the positions minor, so each
-//!    product covers every position in one kernel call and writes the
-//!    `[channels × positions]` rows the next stage reads, with no per-position
-//!    loop and no transpose.
+//!    Every layer runs it channel-major on
+//!    [`thnt_strassen::BitSlicedColumns`] operands, the columns minor: a
+//!    convolution's columns are one sample's positions, a dense layer's and
+//!    the tree projection's are the batch's samples, and every tree node
+//!    reads one `ẑ` quantized from the projection's output. Each product
+//!    covers every column in one kernel call and writes the
+//!    `[channels × columns]` rows the next stage reads; one set of buffers
+//!    serves every layer of a forward pass.
 //!
 //!    Depthwise taps, unfolded affines, ReLU and pooling stay in f32 — they
 //!    are a vanishing fraction of the arithmetic — and run through the
@@ -55,8 +56,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use thnt_quant::{CalibrationMethod, RangeObserver};
-use thnt_strassen::{BitSliced, BitSlicedColumns, KernelDispatch};
-use thnt_tensor::{im2col, Tensor};
+use thnt_strassen::{BitSlicedColumns, KernelDispatch, PackedTernary};
+use thnt_tensor::Tensor;
 
 use crate::engine::{
     conv_columns, ChannelAffine, PackedConv2d, PackedDense, PackedLayer, PackedStHybrid,
@@ -169,74 +170,55 @@ impl Requant {
         })
     }
 
-    /// `layer`'s popcount pipeline from pre-sliced activations (shared by
-    /// the tree nodes, which all consume the same quantized `ẑ`):
-    /// `[samples] → [samples, out]`.
-    fn dense_sliced(&self, d: &KernelDispatch, layer: &PackedDense, x: &BitSliced) -> Tensor {
-        let (n, r, out) = (x.samples(), self.hidden_dequant.len(), self.out_scale.len());
-        let mut h_int = vec![0i32; n * r];
-        layer.wb.bitsliced_matmul_into_with(d, x, &mut h_int);
-        let h_f: Vec<f32> = h_int
-            .iter()
-            .enumerate()
-            .map(|(i, &hi)| hi as f32 * self.hidden_dequant[i % r])
-            .collect();
-        let hq = BitSliced::quantize(&h_f, r, self.hidden_scale);
-        let mut y_int = vec![0i32; n * out];
-        layer.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
-        let y: Vec<f32> = y_int
-            .iter()
-            .enumerate()
-            .map(|(i, &yi)| self.out_scale[i % out] * yi as f32 + self.out_shift[i % out])
-            .collect();
+    /// The pipeline behind the quantized columns `s.xq`: `W_b` popcounts
+    /// them into the `[r × cols]` hidden map, each hidden row is dequantized
+    /// by its `s_in·â`, the map is requantized at `s_h`, and `W_c` popcounts
+    /// it into the `[out × cols]` accumulators `s.y_int`.
+    fn columns(&self, d: &KernelDispatch, wb: &PackedTernary, wc: &PackedTernary, s: &mut Scratch) {
+        let (cols, r) = (s.xq.cols(), self.hidden_dequant.len());
+        s.h_int.resize(r * cols, 0);
+        wb.bitsliced_matmul_rhs_into_with(d, &s.xq, &mut s.h_int);
+        s.h_f.clear();
+        for (k, &dq) in self.hidden_dequant.iter().enumerate() {
+            s.h_f.extend(s.h_int[k * cols..(k + 1) * cols].iter().map(|&i| i as f32 * dq));
+        }
+        s.hq.reshape(r, cols);
+        s.hq.quantize_into_with(d, &s.h_f, self.hidden_scale);
+        s.y_int.resize(self.out_scale.len() * cols, 0);
+        wc.bitsliced_matmul_rhs_into_with(d, &s.hq, &mut s.y_int);
+    }
+
+    /// `layer`'s pipeline with each column of `s.xq` one sample, returned as
+    /// `[samples, out]` rows: a dense layer's batch, the tree projection's,
+    /// or the tree's `ẑ` for every node.
+    fn samples(&self, d: &KernelDispatch, layer: &PackedDense, s: &mut Scratch) -> Tensor {
+        let (n, out) = (s.xq.cols(), self.out_scale.len());
+        self.columns(d, &layer.wb, &layer.wc, s);
+        let affine = self.out_scale.iter().zip(&self.out_shift).cycle();
+        let mut y = Vec::with_capacity(n * out);
+        y.extend(transpose(&s.y_int, out, n).zip(affine).map(|(i, (&a, &b))| a * i as f32 + b));
         Tensor::from_vec(y, &[n, out])
     }
 
-    /// `layer`'s batched popcount forward: quantize the rows of `x` at
-    /// `in_scale`, then the pipeline.
-    fn dense(&self, d: &KernelDispatch, layer: &PackedDense, x: &Tensor) -> Tensor {
-        let q = BitSliced::quantize(x.data(), layer.wb.cols(), self.in_scale);
-        self.dense_sliced(d, layer, &q)
-    }
-
-    /// `layer`'s popcount convolution, `[n, ic, h, w] → [n, oc, oh, ow]`,
-    /// run channel-major: per sample, the `[k × positions]` column matrix
-    /// is quantized at `in_scale`, `W_b` popcounts it into the
-    /// `[r × positions]` hidden map, each hidden row is dequantized by its
-    /// `s_in·â` and the map requantized at `s_h`, and `W_c`'s
-    /// `[oc × positions]` product lands in the output rows through
-    /// `a·y + b`.
-    fn conv(&self, d: &KernelDispatch, layer: &PackedConv2d, x: &Tensor) -> Tensor {
+    /// `c`'s popcount convolution, `[n, ic, h, w] → [n, oc, oh, ow]`:
+    /// each sample's `[k × positions]` column matrix is quantized at
+    /// `in_scale`, and the pipeline's `[oc × positions]` product lands in
+    /// the sample's output rows.
+    fn conv(&self, d: &KernelDispatch, c: &PackedConv2d, x: &Tensor, s: &mut Scratch) -> Tensor {
         let (n, ic, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (oh, ow) = layer.spec.out_dims(h, w);
-        let spatial = oh * ow;
-        let (k, r, oc) = (layer.wb.cols(), self.hidden_dequant.len(), self.out_scale.len());
+        let (oh, ow) = c.spec.out_dims(h, w);
+        let (spatial, oc, plane) = (oh * ow, self.out_scale.len(), ic * h * w);
         let mut y = Tensor::zeros(&[n, oc, oh, ow]);
-        if n == 0 || oc * spatial == 0 {
+        if oc * spatial == 0 {
             return y;
         }
-        let mut xq = BitSlicedColumns::zeroed(k, spatial);
-        let mut hq = BitSlicedColumns::zeroed(r, spatial);
-        let mut h_int = vec![0i32; r * spatial];
-        let mut h_f = vec![0f32; r * spatial];
-        let mut y_int = vec![0i32; oc * spatial];
-        let mut cols = Vec::new();
-        let plane = ic * h * w;
-        for s in 0..n {
-            let sample = &x.data()[s * plane..(s + 1) * plane];
-            let m = conv_columns(&layer.spec, sample, (ic, h, w), &mut cols);
-            xq.quantize_into_with(d, m, self.in_scale);
-            layer.wb.bitsliced_matmul_rhs_into_with(d, &xq, &mut h_int);
-            let rows = h_f.chunks_exact_mut(spatial).zip(h_int.chunks_exact(spatial));
-            for ((hf, hi), &dq) in rows.zip(&self.hidden_dequant) {
-                for (f, &i) in hf.iter_mut().zip(hi) {
-                    *f = i as f32 * dq;
-                }
-            }
-            hq.quantize_into_with(d, &h_f, self.hidden_scale);
-            layer.wc.bitsliced_matmul_rhs_into_with(d, &hq, &mut y_int);
-            let dst = &mut y.data_mut()[s * oc * spatial..(s + 1) * oc * spatial];
-            let rows = dst.chunks_exact_mut(spatial).zip(y_int.chunks_exact(spatial));
+        s.xq.reshape(c.wb.cols(), spatial);
+        for (i, dst) in y.data_mut().chunks_mut(oc * spatial).enumerate() {
+            let sample = &x.data()[i * plane..(i + 1) * plane];
+            let m = conv_columns(&c.spec, sample, (ic, h, w), &mut s.cols);
+            s.xq.quantize_into_with(d, m, self.in_scale);
+            self.columns(d, &c.wb, &c.wc, s);
+            let rows = dst.chunks_exact_mut(spatial).zip(s.y_int.chunks_exact(spatial));
             for ((o, yi), (&a, &b)) in rows.zip(self.out_scale.iter().zip(&self.out_shift)) {
                 for (v, &i) in o.iter_mut().zip(yi) {
                     *v = a * i as f32 + b;
@@ -245,6 +227,37 @@ impl Requant {
         }
         y
     }
+}
+
+/// The pipeline's buffers, allocated once per forward pass and reused by
+/// every layer: an f32 column matrix `cols` and its quantized `xq` (the
+/// tree's `ẑ` once the projection ran), the hidden map as `W_b`'s product,
+/// dequantized and requantized, and `W_c`'s product.
+#[derive(Default)]
+struct Scratch {
+    cols: Vec<f32>,
+    xq: BitSlicedColumns,
+    h_int: Vec<i32>,
+    h_f: Vec<f32>,
+    hq: BitSlicedColumns,
+    y_int: Vec<i32>,
+}
+
+impl Scratch {
+    /// Quantizes the batch `x` at `scale` into `xq`, sample `j` as column
+    /// `j`.
+    fn quantize_samples(&mut self, d: &KernelDispatch, x: &Tensor, scale: f32) {
+        let (n, k) = (x.dims()[0], x.dims()[1..].iter().product());
+        self.cols.clear();
+        self.cols.extend(transpose(x.data(), n, k));
+        self.xq.reshape(k, n);
+        self.xq.quantize_into_with(d, &self.cols, scale);
+    }
+}
+
+/// The `[cols × rows]` transpose of the row-major `[rows × cols]` matrix `m`.
+fn transpose<T: Copy>(m: &[T], rows: usize, cols: usize) -> impl Iterator<Item = T> + '_ {
+    (0..cols).flat_map(move |c| (0..rows).map(move |r| m[r * cols + c]))
 }
 
 /// The batch-norm affine a quantized conv or dense at `layers[i]` folds
@@ -259,7 +272,8 @@ fn folded_affine<'l>(layers: &'l [PackedLayer<'_>], i: usize) -> Option<&'l Chan
 }
 
 /// The quantized compilation of a [`PackedStHybrid`]: same ternary weights,
-/// int8 bit-sliced activations, popcount matvecs.
+/// int8 bit-sliced activations, popcount matvecs. Compiled from a
+/// [`PackedStHybrid::load_ref`] engine, it reads the artifact's buffer too.
 ///
 /// # Example
 ///
@@ -283,13 +297,13 @@ fn folded_affine<'l>(layers: &'l [PackedLayer<'_>], i: usize) -> Option<&'l Chan
 ///     &[4, 1, 49, 10],
 /// );
 /// let schedule = QuantizedStHybrid::calibrate(&engine, &calib, CalibrationMethod::default());
-/// let quantized = QuantizedStHybrid::compile(&engine, schedule).unwrap();
+/// let quantized = QuantizedStHybrid::compile(engine.clone(), schedule).unwrap();
 /// let logits = quantized.forward(&calib);
 /// assert_eq!(logits.dims(), &[4, engine.num_classes()]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedStHybrid {
-    base: PackedStHybrid<'static>,
+pub struct QuantizedStHybrid<'a> {
+    base: PackedStHybrid<'a>,
     schedule: QuantSchedule,
     /// One entry per front layer of `base`: the folded constants of each
     /// conv and dense, `None` for the layers that run in f32.
@@ -313,22 +327,7 @@ fn sample_scale(t: &Tensor, method: CalibrationMethod) -> f32 {
     obs.scale()
 }
 
-/// `â ⊙ (W_b · x)` per sample — the f32 hidden activations whose range the
-/// hidden requantization scale must cover.
-fn scaled_hidden(layer: &PackedDense, x: &Tensor) -> Tensor {
-    let n = x.dims()[0];
-    let r = layer.a_hat.len();
-    let mut h = layer.wb.matmul(x);
-    let hd = h.data_mut();
-    for s in 0..n {
-        for (k, &a) in layer.a_hat.iter().enumerate() {
-            hd[s * r + k] *= a;
-        }
-    }
-    h
-}
-
-impl QuantizedStHybrid {
+impl<'a> QuantizedStHybrid<'a> {
     /// Runs the f32 engine over `batch` (`[n, 1, 49, 10]`) and calibrates
     /// an activation-scale schedule with `method` at every quantize point.
     ///
@@ -353,30 +352,17 @@ impl QuantizedStHybrid {
         let mut front = Vec::new();
         let mut cur = batch.clone();
         for layer in engine.front().layers() {
-            match layer {
+            let hidden_scale = match layer {
                 PackedLayer::Conv(c) => {
-                    let mut hid_obs = RangeObserver::new(method);
-                    let (n, h, w) = (cur.dims()[0], cur.dims()[2], cur.dims()[3]);
-                    let (oh, ow) = c.spec.out_dims(h, w);
-                    let mut hidden = Tensor::zeros(&[c.a_hat.len(), oh * ow]);
-                    for s in 0..n {
-                        let cols = im2col(&cur.slice_batch(s), &c.spec);
-                        c.wb.matmul_rhs_into(&cols, hidden.data_mut());
-                        for (row, &a) in hidden.data_mut().chunks_mut(oh * ow).zip(c.a_hat.iter()) {
-                            row.iter_mut().for_each(|v| *v *= a);
-                        }
-                        hid_obs.observe(hidden.data());
-                    }
-                    front.push(LayerScales {
-                        in_scale: sample_scale(&cur, method),
-                        hidden_scale: hid_obs.scale(),
-                    });
+                    let mut obs = RangeObserver::new(method);
+                    c.hidden_maps(&cur, |_, hidden| obs.observe(hidden));
+                    Some(obs.scale())
                 }
-                PackedLayer::Dense(f) => front.push(LayerScales {
-                    in_scale: sample_scale(&cur, method),
-                    hidden_scale: sample_scale(&scaled_hidden(f, &cur), method),
-                }),
-                _ => {}
+                PackedLayer::Dense(f) => Some(sample_scale(&f.hidden(&cur), method)),
+                _ => None,
+            };
+            if let Some(hidden_scale) = hidden_scale {
+                front.push(LayerScales { in_scale: sample_scale(&cur, method), hidden_scale });
             }
             cur = layer.step(cur);
         }
@@ -386,25 +372,27 @@ impl QuantizedStHybrid {
             front,
             z: LayerScales {
                 in_scale: sample_scale(&cur, method),
-                hidden_scale: sample_scale(&scaled_hidden(&tree.z, &cur), method),
+                hidden_scale: sample_scale(&tree.z.hidden(&cur), method),
             },
             zhat_scale: sample_scale(&zhat, method),
             node_hidden: tree
-                .nodes()
-                .map(|node| sample_scale(&scaled_hidden(node, &zhat), method))
+                .nodes
+                .iter()
+                .map(|node| sample_scale(&node.hidden(&zhat), method))
                 .collect(),
         }
     }
 
     /// Compiles `engine` against a calibrated `schedule`, prefolding every
     /// requantization constant (any batch-norm affine directly following a
-    /// quantized conv/dense folds into its output stage).
+    /// quantized conv/dense folds into its output stage). `engine` becomes
+    /// the base; no weight is copied.
     ///
     /// # Errors
     ///
     /// Returns a description of the mismatch if the schedule's layer counts
     /// do not match the engine or any scale is non-finite or non-positive.
-    pub fn compile(engine: &PackedStHybrid, schedule: QuantSchedule) -> Result<Self, String> {
+    pub fn compile(engine: PackedStHybrid<'a>, schedule: QuantSchedule) -> Result<Self, String> {
         schedule.validate()?;
         let layers = engine.front().layers();
         let mut scales = schedule.front.iter();
@@ -423,7 +411,7 @@ impl QuantizedStHybrid {
             return Err("schedule has more front scales than quantized layers".into());
         }
         let tree = engine.tree();
-        let expected = tree.nodes().count();
+        let expected = tree.nodes.len();
         if schedule.node_hidden.len() != expected {
             return Err(format!(
                 "schedule has {} node scales, tree has {expected} node denses",
@@ -431,7 +419,8 @@ impl QuantizedStHybrid {
             ));
         }
         let nodes = tree
-            .nodes()
+            .nodes
+            .iter()
             .zip(&schedule.node_hidden)
             .map(|(node, &hidden_scale)| {
                 let ls = LayerScales { in_scale: schedule.zhat_scale, hidden_scale };
@@ -439,22 +428,23 @@ impl QuantizedStHybrid {
             })
             .collect::<Result<_, _>>()?;
         let z = Requant::fold(&tree.z.a_hat, &tree.z.bias, schedule.z, None)?;
-        Ok(Self { base: engine.to_static(), schedule, front, z, nodes })
+        Ok(Self { base: engine, schedule, front, z, nodes })
     }
 
-    /// Calibrates on `batch` and compiles in one step.
+    /// Calibrates on `batch` and compiles a clone of `engine` in one step;
+    /// the clone copies no weight `engine` borrows from an artifact buffer.
     ///
     /// # Errors
     ///
     /// As [`Self::compile`] (a calibrated schedule always matches, so this
     /// only fails on degenerate engines).
     pub fn calibrate_and_compile(
-        engine: &PackedStHybrid,
+        engine: &PackedStHybrid<'a>,
         batch: &Tensor,
         method: CalibrationMethod,
     ) -> Result<Self, String> {
         let schedule = Self::calibrate(engine, batch, method);
-        Self::compile(engine, schedule)
+        Self::compile(engine.clone(), schedule)
     }
 
     /// Batched quantized inference: `[n, 1, 49, 10] → [n, L]`.
@@ -466,26 +456,31 @@ impl QuantizedStHybrid {
     /// backend `d`. The layers kept in f32 run on the process dispatch,
     /// whose depthwise window sums are bitwise the same on every backend.
     pub(crate) fn forward_with(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
+        let mut s = Scratch::default();
         let layers = self.base.front().layers();
         let mut cur = x.clone();
         let mut i = 0;
         while let (Some(layer), Some(requant)) = (layers.get(i), self.front.get(i)) {
             cur = match (layer, requant) {
-                (PackedLayer::Conv(c), Some(q)) => q.conv(d, c, &cur),
-                (PackedLayer::Dense(f), Some(q)) => q.dense(d, f, &cur),
+                (PackedLayer::Conv(c), Some(q)) => q.conv(d, c, &cur, &mut s),
+                (PackedLayer::Dense(f), Some(q)) => {
+                    s.quantize_samples(d, &cur, q.in_scale);
+                    q.samples(d, f, &mut s)
+                }
                 _ => layer.step(cur),
             };
             // A folded affine already ran in the layer before it.
             i += 1 + usize::from(folded_affine(layers, i).is_some());
         }
         let tree = self.base.tree();
-        let zhat = self.z.dense(d, &tree.z, &cur);
-        let zs = BitSliced::quantize(zhat.data(), tree.z.out_dim(), self.schedule.zhat_scale);
-        tree.route(cur.dims()[0], |i, node| self.nodes[i].dense_sliced(d, node, &zs))
+        s.quantize_samples(d, &cur, self.z.in_scale);
+        let zhat = self.z.samples(d, &tree.z, &mut s);
+        s.quantize_samples(d, &zhat, self.schedule.zhat_scale);
+        tree.route(cur.dims()[0], |i, node| self.nodes[i].samples(d, node, &mut s))
     }
 
     /// The underlying f32 packed engine.
-    pub fn base(&self) -> &PackedStHybrid<'static> {
+    pub fn base(&self) -> &PackedStHybrid<'a> {
         &self.base
     }
 
@@ -533,12 +528,12 @@ impl QuantizedStHybrid {
     /// section, or a schedule inconsistent with the packed weights.
     pub fn load<R: std::io::Read>(
         reader: R,
-    ) -> std::io::Result<(Self, Option<crate::artifact::InferenceMeta>)> {
+    ) -> std::io::Result<(QuantizedStHybrid<'static>, Option<crate::artifact::InferenceMeta>)> {
         crate::artifact::load_quantized_thnt2(reader)
     }
 }
 
-impl thnt_nn::InferenceBackend for QuantizedStHybrid {
+impl thnt_nn::InferenceBackend for QuantizedStHybrid<'_> {
     fn infer(&self, x: &Tensor) -> Tensor {
         self.forward(x)
     }
@@ -571,7 +566,7 @@ mod tests {
     use crate::st_hybrid::StHybridNet;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use thnt_strassen::{Kernel, PackedTernary, Strassenified};
+    use thnt_strassen::{BitSliced, Kernel, Strassenified};
     use thnt_tensor::Conv2dSpec;
 
     fn frozen_engine(seed: u64) -> PackedStHybrid<'static> {
@@ -599,11 +594,20 @@ mod tests {
         )
     }
 
-    /// Bit-slices the columns of the row-major `[len × samples]` matrix
-    /// `m`, column `j` as sample `j`: the per-position engine's patches.
-    fn quantize_columns(m: &[f32], len: usize, samples: usize, scale: f32) -> BitSliced {
-        let t: Vec<f32> = (0..samples * len).map(|j| m[(j % len) * samples + j / len]).collect();
-        BitSliced::quantize(&t, len, scale)
+    /// `out[s·rows + r] = W_r · q_s`, each `len`-element sample of the
+    /// row-major `x` quantized at `scale` into its own [`BitSliced`] vector:
+    /// one matvec per sample, the product both oracles below run.
+    fn matvec_per_sample(
+        d: &KernelDispatch,
+        w: &PackedTernary,
+        x: &[f32],
+        len: usize,
+        scale: f32,
+        out: &mut [i32],
+    ) {
+        for (sample, y) in x.chunks_exact(len).zip(out.chunks_exact_mut(w.rows())) {
+            w.bitsliced_matvec_into_with(d, &BitSliced::quantize(sample, len, scale), y);
+        }
     }
 
     /// One quantized conv as the oracle proptest builds it: the packed
@@ -624,7 +628,7 @@ mod tests {
         }
 
         fn forward(&self, d: &KernelDispatch, x: &Tensor) -> Tensor {
-            self.q.conv(d, &self.layer, x)
+            self.q.conv(d, &self.layer, x, &mut Scratch::default())
         }
     }
 
@@ -646,15 +650,15 @@ mod tests {
         for s in 0..n {
             let sample = &x.data()[s * plane..(s + 1) * plane];
             let m = conv_columns(&layer.spec, sample, (ic, h, w), &mut cols);
-            let patches = quantize_columns(m, k, spatial, q.in_scale);
-            layer.wb.bitsliced_matmul_into_with(d, &patches, &mut h_int);
+            let patches: Vec<f32> =
+                (0..spatial * k).map(|j| m[(j % k) * spatial + j / k]).collect();
+            matvec_per_sample(d, &layer.wb, &patches, k, q.in_scale, &mut h_int);
             let h_f: Vec<f32> = h_int
                 .iter()
                 .enumerate()
                 .map(|(i, &hi)| hi as f32 * q.hidden_dequant[i % r])
                 .collect();
-            let hq = BitSliced::quantize(&h_f, r, q.hidden_scale);
-            layer.wc.bitsliced_matmul_into_with(d, &hq, &mut y_int);
+            matvec_per_sample(d, &layer.wc, &h_f, r, q.hidden_scale, &mut y_int);
             let dst = &mut y.data_mut()[s * oc * spatial..(s + 1) * oc * spatial];
             for pos in 0..spatial {
                 for ch in 0..oc {
@@ -664,6 +668,42 @@ mod tests {
             }
         }
         y
+    }
+
+    /// The per-sample dense body the column pipeline replaced, kept as its
+    /// oracle: each sample of the row-major `[n, in]` batch `x` is one
+    /// [`BitSliced`] vector quantized at `scale`, each product one matvec
+    /// per sample, and the output is sample-major.
+    fn per_sample_dense(
+        q: &Requant,
+        d: &KernelDispatch,
+        layer: &PackedDense,
+        x: &[f32],
+        scale: f32,
+    ) -> Tensor {
+        let (k, r, out) = (layer.wb.cols(), q.hidden_dequant.len(), q.out_scale.len());
+        let n = x.len() / k;
+        let mut h_int = vec![0i32; n * r];
+        matvec_per_sample(d, &layer.wb, x, k, scale, &mut h_int);
+        let h_f: Vec<f32> =
+            h_int.iter().enumerate().map(|(i, &hi)| hi as f32 * q.hidden_dequant[i % r]).collect();
+        let mut y_int = vec![0i32; n * out];
+        matvec_per_sample(d, &layer.wc, &h_f, r, q.hidden_scale, &mut y_int);
+        let y = y_int
+            .iter()
+            .enumerate()
+            .map(|(i, &yi)| q.out_scale[i % out] * yi as f32 + q.out_shift[i % out])
+            .collect();
+        Tensor::from_vec(y, &[n, out])
+    }
+
+    fn random_dense(k: usize, r: usize, out: usize, rng: &mut SmallRng) -> PackedDense<'static> {
+        PackedDense {
+            wb: ternary(r, k, rng),
+            a_hat: (0..r).map(|_| rng.gen_range(0.05f32..2.0)).collect(),
+            wc: ternary(out, r, rng),
+            bias: (0..out).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+        }
     }
 
     fn ternary(rows: usize, cols: usize, rng: &mut SmallRng) -> PackedTernary<'static> {
@@ -765,6 +805,91 @@ mod tests {
                 }
             }
         }
+
+        /// The column pipeline equals the per-sample oracle bit for bit on
+        /// every backend, for a dense layer (its batch quantized with the
+        /// samples as columns) and for a tree node (reading the one `ẑ` a
+        /// projection quantized from its `[proj × samples]` output), with
+        /// and without a folded affine: batches of 1, 2, 7, 8, 9 and 17
+        /// samples, either side of the 8-column AVX-512 group, inputs 1, 12,
+        /// 48, 63, 64, 65 and 130 wide, and every sample alone equal to its
+        /// row of the batch. One scratch serves every call, as in a forward.
+        #[test]
+        fn column_pipeline_matches_the_per_sample_oracle(
+            seed in 0u64..1_000_000,
+            batch in 0usize..6,
+            width in 0usize..7,
+            scale_exp in 0i32..10,
+            flags in 0u8..4,
+        ) {
+            let (pow2_scale, affine) = (flags & 1 == 1, flags & 2 == 2);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = [1, 2, 7, 8, 9, 17][batch];
+            let k = [1, 12, 48, 63, 64, 65, 130][width];
+            let (r, out) = (rng.gen_range(1..=70), rng.gen_range(1..=20));
+            let dense = random_dense(k, r, out, &mut rng);
+            let node = random_dense(out, rng.gen_range(1..=70), rng.gen_range(1..=20), &mut rng);
+            let in_scale = if pow2_scale {
+                (2.0f32).powi(-scale_exp)
+            } else {
+                rng.gen_range(0.001f32..0.5)
+            };
+            let scales = LayerScales { in_scale, hidden_scale: rng.gen_range(0.001f32..0.5) };
+            let aff = ChannelAffine {
+                scale: (0..out).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
+                shift: (0..out).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+            };
+            let q = Requant::fold(&dense.a_hat, &dense.bias, scales, affine.then_some(&aff)).unwrap();
+            let zhat_scale = rng.gen_range(0.001f32..0.5);
+            let node_scales =
+                LayerScales { in_scale: zhat_scale, hidden_scale: rng.gen_range(0.001f32..0.5) };
+            let qn = Requant::fold(&node.a_hat, &node.bias, node_scales, None).unwrap();
+            let x = Tensor::from_vec(rounding_stress(n * k, in_scale, &mut rng), &[n, k]);
+            let scalar = KernelDispatch::new(Kernel::Scalar).unwrap();
+            let want = per_sample_dense(&q, &scalar, &dense, x.data(), in_scale);
+            let want_node = per_sample_dense(&qn, &scalar, &node, want.data(), zhat_scale);
+            // A dense layer's two steps in the forward pass, and a node's.
+            let dense_of = |d: &KernelDispatch, x: &Tensor, s: &mut Scratch| {
+                s.quantize_samples(d, x, in_scale);
+                q.samples(d, &dense, s)
+            };
+            let node_of = |d: &KernelDispatch, x: &Tensor, s: &mut Scratch| {
+                let zhat = dense_of(d, x, s);
+                s.quantize_samples(d, &zhat, zhat_scale);
+                qn.samples(d, &node, s)
+            };
+            let backends = Kernel::available().into_iter().map(|k| KernelDispatch::new(k).unwrap());
+            for d in backends.chain([*KernelDispatch::get()]) {
+                let mut s = Scratch::default();
+                let got = dense_of(&d, &x, &mut s);
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "dense, kernel {}", d.kernel());
+                let got_node = node_of(&d, &x, &mut s);
+                proptest::prop_assert_eq!(
+                    bits(&got_node),
+                    bits(&want_node),
+                    "node, kernel {}",
+                    d.kernel()
+                );
+                let node_out = got_node.numel() / n;
+                for j in 0..n {
+                    let one = Tensor::from_vec(x.data()[j * k..(j + 1) * k].to_vec(), &[1, k]);
+                    proptest::prop_assert_eq!(
+                        bits(&dense_of(&d, &one, &mut s)),
+                        bits(&got)[j * out..(j + 1) * out].to_vec(),
+                        "dense, kernel {} sample {} alone",
+                        d.kernel(),
+                        j
+                    );
+                    proptest::prop_assert_eq!(
+                        bits(&node_of(&d, &one, &mut s)),
+                        bits(&got_node)[j * node_out..(j + 1) * node_out].to_vec(),
+                        "node, kernel {} sample {} alone",
+                        d.kernel(),
+                        j
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -841,13 +966,13 @@ mod tests {
         let mut schedule =
             QuantizedStHybrid::calibrate(&engine, &batch, CalibrationMethod::default());
         schedule.front.pop();
-        assert!(QuantizedStHybrid::compile(&engine, schedule.clone()).is_err());
+        assert!(QuantizedStHybrid::compile(engine.clone(), schedule.clone()).is_err());
         schedule.front.push(LayerScales { in_scale: 1.0, hidden_scale: 1.0 });
         schedule.front.push(LayerScales { in_scale: 1.0, hidden_scale: 1.0 });
-        assert!(QuantizedStHybrid::compile(&engine, schedule.clone()).is_err());
+        assert!(QuantizedStHybrid::compile(engine.clone(), schedule.clone()).is_err());
         schedule.front.pop();
         schedule.zhat_scale = -1.0;
-        assert!(QuantizedStHybrid::compile(&engine, schedule).is_err());
+        assert!(QuantizedStHybrid::compile(engine.clone(), schedule).is_err());
     }
 
     #[test]

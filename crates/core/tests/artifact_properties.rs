@@ -225,7 +225,7 @@ proptest! {
     }
 }
 
-fn quantized_engine(seed: u64, width: usize, tree_depth: usize) -> QuantizedStHybrid {
+fn quantized_engine(seed: u64, width: usize, tree_depth: usize) -> QuantizedStHybrid<'static> {
     let (_, engine) = frozen_engine(seed, width, tree_depth);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xCA11B);
     let calib = thnt_tensor::gaussian(&[4, 1, 49, 10], 0.0, 1.0, &mut rng);
@@ -238,6 +238,33 @@ fn quantized_format_blobs(seed: u64, width: usize) -> Vec<(&'static str, Vec<u8>
     let quantized = quantized_engine(seed, width, 1);
     let save = |opts, blob: &mut Vec<u8>| save_quantized_thnt2_with(&quantized, None, opts, blob);
     format_blobs(save, QUANTIZED_V2)
+}
+
+/// A quantized engine compiled from a zero-copy load keeps reading the
+/// artifact's buffer: calibrating and compiling against `load_ref` of an
+/// aligned v3 blob copies no bitplane, and a `save` → `load` round trip of
+/// that engine forwards bit for bit like it.
+#[test]
+fn quantized_engine_keeps_its_zero_copy_base() {
+    let (_, engine) = frozen_engine(5, 6, 1);
+    let mut blob = Vec::new();
+    save_thnt2_with(&engine, None, SaveOptions::v3(), &mut blob).unwrap();
+    let aligned = AlignedBytes::from_slice(&blob);
+    let (borrowed, _) = PackedStHybrid::load_ref(&aligned).unwrap();
+    assert!(borrowed.bitplanes_borrowed());
+    let mut rng = SmallRng::seed_from_u64(0xB0B);
+    let calib = thnt_tensor::gaussian(&[4, 1, 49, 10], 0.0, 1.0, &mut rng);
+    let q =
+        QuantizedStHybrid::calibrate_and_compile(&borrowed, &calib, CalibrationMethod::default())
+            .unwrap();
+    assert!(q.base().bitplanes_borrowed(), "calibrate_and_compile copied its base");
+    let compiled = QuantizedStHybrid::compile(borrowed, q.schedule().clone()).unwrap();
+    assert!(compiled.base().bitplanes_borrowed(), "compile copied its base");
+    let mut saved = Vec::new();
+    compiled.save(None, &mut saved).unwrap();
+    let (reloaded, _) = QuantizedStHybrid::load(saved.as_slice()).unwrap();
+    let x = thnt_tensor::gaussian(&[3, 1, 49, 10], 0.0, 1.0, &mut rng);
+    assert_eq!(logit_bits(&reloaded.forward(&x)), logit_bits(&compiled.forward(&x)));
 }
 
 proptest! {

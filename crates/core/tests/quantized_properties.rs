@@ -78,8 +78,8 @@ proptest! {
         let s1 = QuantizedStHybrid::calibrate(&engine, &batch, CalibrationMethod::default());
         let s2 = QuantizedStHybrid::calibrate(&engine, &batch, CalibrationMethod::default());
         prop_assert_eq!(&s1, &s2);
-        let q1 = QuantizedStHybrid::compile(&engine, s1).unwrap();
-        let q2 = QuantizedStHybrid::compile(&engine, s2).unwrap();
+        let q1 = QuantizedStHybrid::compile(engine.clone(), s1).unwrap();
+        let q2 = QuantizedStHybrid::compile(engine.clone(), s2).unwrap();
         prop_assert_eq!(q1, q2);
     }
 }

@@ -34,14 +34,15 @@
 //! activations leave the high-magnitude planes empty), which is exact:
 //! an all-zero plane contributes nothing.
 //!
-//! Two operands carry these planes. [`BitSliced`] stores whole vectors one
-//! after another (sample-major), the operand of the dense layers and the
-//! tree head. [`BitSlicedColumns`] stores a matrix's columns side by side
-//! (column-minor), the operand of a convolution's `[k × positions]` column
-//! matrix: one broadcast weight word then meets 8 positions' plane words
-//! in one SIMD register, and
+//! Two operands carry these planes. [`BitSlicedColumns`] stores a matrix's
+//! columns side by side (column-minor). It is the quantized engine's one
+//! operand: a convolution's `[k × positions]` column matrix, or a dense
+//! layer's batch as an `[in × samples]` matrix. One broadcast weight word
+//! then meets 8 columns' plane words in one SIMD register, and
 //! [`super::PackedTernary::bitsliced_matmul_rhs_into_with`] writes the
-//! channel-major `[rows × positions]` map the next stage reads.
+//! channel-major `[rows × columns]` map the next stage reads. [`BitSliced`]
+//! stores whole vectors one after another (sample-major), the operand of
+//! the single-vector [`super::PackedTernary::bitsliced_matvec_into_with`].
 //!
 //! Unlike the f32-lane packed kernels, the bit-sliced path is **bitwise
 //! identical across every [`super::kernel::Kernel`] backend** — the
@@ -215,7 +216,7 @@ impl BitSliced {
 ///   ⋮
 /// plane 7, word 0 [  …                ]   sign bits
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitSlicedColumns {
     rows: usize,
     cols: usize,
@@ -228,6 +229,15 @@ impl BitSlicedColumns {
     pub fn zeroed(rows: usize, cols: usize) -> Self {
         let words = rows.div_ceil(WORD_BITS);
         Self { rows, cols, words, planes: vec![0; PLANES * words * cols] }
+    }
+
+    /// Makes this an all-zero `rows × cols` matrix, as [`Self::zeroed`]
+    /// does, reusing the plane buffer.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.words = rows.div_ceil(WORD_BITS);
+        (self.rows, self.cols) = (rows, cols);
+        self.planes.clear();
+        self.planes.resize(PLANES * self.words * cols, 0);
     }
 
     /// Re-quantizes the row-major `[rows × cols]` f32 matrix `m` into this
@@ -286,7 +296,9 @@ impl PackedTernary<'_> {
     /// `y.len() == rows`.
     pub fn bitsliced_matvec_into_with(&self, d: &KernelDispatch, x: &BitSliced, y: &mut [i32]) {
         assert_eq!(x.samples(), 1, "matvec takes a single sample");
-        self.bitsliced_matmul_into_with(d, x, y);
+        assert_eq!(x.len(), self.cols(), "activation length must equal cols");
+        assert_eq!(y.len(), self.rows(), "output length mismatch");
+        d.bitslice_matvec(&self.view(), x.sample_planes(0), y);
     }
 
     /// Bit-sliced integer matvec with the process-default kernel.
@@ -297,22 +309,6 @@ impl PackedTernary<'_> {
     /// `THNT_KERNEL` names an unknown or unsupported backend.
     pub fn bitsliced_matvec_into(&self, x: &BitSliced, y: &mut [i32]) {
         self.bitsliced_matvec_into_with(KernelDispatch::get(), x, y);
-    }
-
-    /// Batched bit-sliced integer product: `out[s·rows + r] = Wᵣ · qₛ` for
-    /// every sample of `x`, through an explicit kernel handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == cols` and
-    /// `out.len() == x.samples() · rows`.
-    pub fn bitsliced_matmul_into_with(&self, d: &KernelDispatch, x: &BitSliced, out: &mut [i32]) {
-        assert_eq!(x.len(), self.cols(), "activation length must equal cols");
-        assert_eq!(out.len(), x.samples() * self.rows(), "output length mismatch");
-        let v = self.view();
-        for (s, y) in out.chunks_exact_mut(self.rows()).enumerate() {
-            d.bitslice_matvec(&v, x.sample_planes(s), y);
-        }
     }
 
     /// Bit-sliced integer product with a column matrix, the popcount twin
@@ -420,7 +416,10 @@ mod tests {
         for k in Kernel::available() {
             let d = KernelDispatch::new(k).unwrap();
             let mut out = vec![0i32; 3 * rows];
-            w.bitsliced_matmul_into_with(&d, &b, &mut out);
+            for (sample, y) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
+                let one = BitSliced::quantize(sample, cols, 2.0 / 127.0);
+                w.bitsliced_matvec_into_with(&d, &one, y);
+            }
             assert_eq!(out, expect, "kernel {k}");
         }
     }

@@ -425,6 +425,17 @@ pub(crate) unsafe fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut
     }
 }
 
+/// The portable column-matrix product [`super::scalar::bitslice_rhs`],
+/// compiled with the hardware `popcnt` that baseline x86-64 lacks.
+///
+/// # Safety
+///
+/// The caller must have verified `popcnt` support at runtime.
+#[target_feature(enable = "popcnt")]
+pub(crate) unsafe fn bitslice_rhs(v: &PackedView<'_>, x: &[u64], cols: usize, out: &mut [i32]) {
+    super::scalar::bitslice_rhs(v, x, cols, out)
+}
+
 /// Element-wise `dst[i] += a · src[i]`: `vmulps` then `vaddps`, never a
 /// fused multiply-add — fusing would change the rounding and break bitwise
 /// equivalence with the scalar backend.

@@ -288,7 +288,8 @@ impl KernelDispatch {
     /// Exact integer arithmetic, narrowed to i32 like
     /// [`Self::bitslice_matvec`], so every backend agrees bit for bit.
     /// AVX-512 popcounts 8 columns per `vpopcntq`; scalar, AVX2 and NEON
-    /// share one portable loop.
+    /// share one portable loop, which AVX2 compiles with the hardware
+    /// `popcnt` instruction.
     ///
     /// # Panics
     ///
@@ -301,7 +302,10 @@ impl KernelDispatch {
         assert_eq!(Some(x.len()), planes, "bit-sliced column operand length");
         assert_eq!(Some(out.len()), v.rows.checked_mul(cols), "bit-sliced column product length");
         match self.kernel {
-            Kernel::Scalar | Kernel::Avx2 | Kernel::Neon => scalar::bitslice_rhs(v, x, cols, out),
+            Kernel::Scalar | Kernel::Neon => scalar::bitslice_rhs(v, x, cols, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `KernelDispatch` construction verified `popcnt` support.
+            Kernel::Avx2 => unsafe { avx2::bitslice_rhs(v, x, cols, out) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `KernelDispatch` construction verified AVX-512
             // vpopcntdq support, and both operand lengths were asserted

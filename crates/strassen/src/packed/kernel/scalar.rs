@@ -109,7 +109,9 @@ pub(crate) fn bitslice_matvec(v: &PackedView<'_>, planes: &[u64], y: &mut [i32])
 /// one column per lane of the inner loop. The i32 lanes add with wrapping
 /// arithmetic, which is the matvec's i64 sum narrowed by `as i32`: both are
 /// the exact sum modulo 2³². The `scalar`, `avx2` and `neon` dispatches all
-/// run this loop.
+/// run this loop; it is inlined so that `avx2`'s wrapper compiles it with
+/// hardware `popcnt`.
+#[inline(always)]
 pub(crate) fn bitslice_rhs(v: &PackedView<'_>, x: &[u64], cols: usize, out: &mut [i32]) {
     if cols == 0 {
         return;

@@ -206,7 +206,10 @@ proptest! {
         }
         for d in simd_backends().into_iter().chain([scalar()]) {
             let mut got = vec![0i32; n * rows];
-            packed.bitsliced_matmul_into_with(&d, &sliced, &mut got);
+            for (sample, y) in x.chunks_exact(cols).zip(got.chunks_exact_mut(rows)) {
+                let one = BitSliced::quantize(sample, cols, 1.0 / 64.0);
+                packed.bitsliced_matvec_into_with(&d, &one, y);
+            }
             prop_assert_eq!(&want, &got, "kernel {} diverged", d.kernel());
         }
         // The default dispatch (THNT_KERNEL override or detection) too.

@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 pub enum Kernel {
     /// Portable reference loops (always available).
     Scalar,
-    /// 8-lane AVX2 (x86_64 with AVX2 support).
+    /// 8-lane AVX2 (x86_64 with AVX2 and `popcnt` support).
     Avx2,
     /// AVX-512 `vpopcntq` for the bit-sliced popcount family; every other
     /// loop runs the AVX2 code (x86_64 with AVX-512 `vpopcntdq` and AVX2).
@@ -64,7 +64,10 @@ impl Kernel {
         match self {
             Kernel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Kernel::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("popcnt")
+            }
             #[cfg(target_arch = "x86_64")]
             // Every loop but the popcount family routes to the AVX2 code, so
             // AVX2 must be present alongside the popcount extension.
